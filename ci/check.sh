@@ -38,6 +38,17 @@ SHARC_TEST_SEED=0xC1 SHARC_TEST_CASES=32 \
     sharded_engines_agree_up_to_256_threads \
     cross_shard_ownership_transfer_is_exact
 
+echo "== sequential judge: BitmapBackend vs bare step fold, fixed seed =="
+# The replay judge's exclusive-owner fast path and dense thread
+# tables must be invisible: per-event verdicts and every granule's
+# shadow words equal a bare sharded::step/clear_thread fold, on one
+# shard, five shards, and the adaptive-only geometry, with tids from
+# 1 to 2^30-1. Fixed seed and reduced case count pin one known
+# exploration.
+SHARC_TEST_SEED=0x5E0F SHARC_TEST_CASES=48 \
+    cargo test -q --offline --release --test checker_differential -- \
+    bitmap_backend_equals_bare_step_fold
+
 echo "== epoch geometry: region-vs-global differential, fixed seed =="
 # The per-region epoch table must be verdict-invisible: the same
 # trace through the R=1 (global) geometry, the default 64-region

@@ -21,7 +21,7 @@
 //! and of the CLI's `--detector` switch.
 
 use crate::geometry::ShadowGeometry;
-use crate::step::{sharded, sharded::ShardStep, Access};
+use crate::step::{adaptive, bitmap, sharded, sharded::ShardStep, Access};
 use std::collections::HashMap;
 
 /// Which check a conflict came from.
@@ -239,7 +239,16 @@ pub trait CheckBackend {
 /// paths run byte-for-byte the same code, which is what makes
 /// streaming ≡ replay a structural property rather than a test-only
 /// coincidence.
-pub fn apply_event(e: CheckEvent, backend: &mut dyn CheckBackend, out: &mut Vec<Conflict>) {
+///
+/// Generic over the backend so a concrete engine (`&mut BitmapBackend`)
+/// is monomorphised with its checks inlined, while `&mut dyn
+/// CheckBackend` callers (the parallel workers, the streaming
+/// collector) still work through `?Sized`.
+pub fn apply_event<B: CheckBackend + ?Sized>(
+    e: CheckEvent,
+    backend: &mut B,
+    out: &mut Vec<Conflict>,
+) {
     let verdict = match e {
         CheckEvent::Read { tid, granule } => backend.chkread(tid, granule),
         CheckEvent::Write { tid, granule } => backend.chkwrite(tid, granule),
@@ -341,7 +350,7 @@ pub fn apply_event(e: CheckEvent, backend: &mut dyn CheckBackend, out: &mut Vec<
 /// Drives a trace through `backend`, collecting every conflict. One
 /// seeded execution replayed through several backends is the
 /// workspace's cross-validation methodology (§6.2).
-pub fn replay(events: &[CheckEvent], backend: &mut dyn CheckBackend) -> Vec<Conflict> {
+pub fn replay<B: CheckBackend + ?Sized>(events: &[CheckEvent], backend: &mut B) -> Vec<Conflict> {
     let mut out = Vec::new();
     for &e in events {
         apply_event(e, backend, &mut out);
@@ -448,6 +457,79 @@ pub fn lower_ranges(events: &[CheckEvent]) -> Vec<CheckEvent> {
     out
 }
 
+/// Per-thread state keyed by tid, without hashing on the hot path.
+///
+/// Tids inside the geometry's exact range — the range the caller
+/// sized the shadow for, so in practice every tid of a judged trace —
+/// index a dense vector grown to the largest such tid seen. Tids past
+/// it (up to 2³⁰ − 1, and rare) fall back to a map. Memory is
+/// therefore bounded by the exact range plus the number of distinct
+/// overflow tids, never by a tid's value.
+#[derive(Debug)]
+struct ThreadTable<T> {
+    dense: Vec<T>,
+    /// Tids `0..=dense_max` take the dense vector.
+    dense_max: usize,
+    sparse: HashMap<u32, T>,
+}
+
+impl<T: Default> ThreadTable<T> {
+    fn new(dense_max: usize) -> Self {
+        ThreadTable {
+            dense: Vec::new(),
+            dense_max,
+            sparse: HashMap::new(),
+        }
+    }
+
+    #[inline]
+    fn get(&self, tid: u32) -> Option<&T> {
+        let t = tid as usize;
+        if t <= self.dense_max {
+            self.dense.get(t)
+        } else {
+            self.sparse.get(&tid)
+        }
+    }
+
+    #[inline]
+    fn get_mut(&mut self, tid: u32) -> Option<&mut T> {
+        let t = tid as usize;
+        if t <= self.dense_max {
+            self.dense.get_mut(t)
+        } else {
+            self.sparse.get_mut(&tid)
+        }
+    }
+
+    /// `tid`'s entry, created empty on first use.
+    #[inline]
+    fn entry(&mut self, tid: u32) -> &mut T {
+        let t = tid as usize;
+        if t <= self.dense_max {
+            if t >= self.dense.len() {
+                self.dense.resize_with(t + 1, T::default);
+            }
+            &mut self.dense[t]
+        } else {
+            self.sparse.entry(tid).or_default()
+        }
+    }
+
+    /// Removes and returns `tid`'s entry (empty if it had none).
+    fn take(&mut self, tid: u32) -> T {
+        let t = tid as usize;
+        if t <= self.dense_max {
+            self.dense
+                .get_mut(t)
+                .map(std::mem::take)
+                .unwrap_or_default()
+        } else {
+            self.sparse.remove(&tid).unwrap_or_default()
+        }
+    }
+}
+
 /// The reference engine: the sharded bitmap state machine over a
 /// growable word store. Single-threaded (serialize externally — the
 /// VM's scheduler does, `Online` uses sharded locks); the verdicts
@@ -458,6 +540,10 @@ pub fn lower_ranges(events: &[CheckEvent]) -> Vec<CheckEvent> {
 /// configuration. [`BitmapBackend::with_geometry`] scales the exact
 /// range arbitrarily (e.g. `ShadowGeometry::for_threads(256)` for
 /// the high-tid differential oracle).
+///
+/// Accesses by a granule's exclusive owner skip `sharded::step`
+/// (see DESIGN.md, "The sequential judge's fast path"); every other
+/// access runs it.
 #[derive(Debug)]
 pub struct BitmapBackend {
     /// Flat store: granule `g`'s words live at
@@ -465,9 +551,9 @@ pub struct BitmapBackend {
     words: Vec<u64>,
     geom: ShadowGeometry,
     /// Granules each thread installed bits into, for exit clearing.
-    logs: HashMap<u32, Vec<usize>>,
+    logs: ThreadTable<Vec<usize>>,
     /// Held-lock log per thread (§4.2.2).
-    held: HashMap<u32, Vec<usize>>,
+    held: ThreadTable<Vec<usize>>,
 }
 
 impl Default for BitmapBackend {
@@ -490,8 +576,8 @@ impl BitmapBackend {
         BitmapBackend {
             words: Vec::new(),
             geom,
-            logs: HashMap::new(),
-            held: HashMap::new(),
+            logs: ThreadTable::new(geom.exact_threads()),
+            held: ThreadTable::new(geom.exact_threads()),
         }
     }
 
@@ -500,6 +586,7 @@ impl BitmapBackend {
         self.geom
     }
 
+    #[inline]
     fn ensure(&mut self, granule: usize) -> usize {
         let stride = self.geom.words_per_granule();
         let base = granule * stride;
@@ -509,19 +596,58 @@ impl BitmapBackend {
         base
     }
 
+    /// One `chkread`/`chkwrite`.
+    ///
+    /// **Exclusive-owner fast path.** If `tid`'s own word is exactly
+    /// its writer state — `WRITER_FLAG | bit(tid)` in its shard, or
+    /// `EXCL(tid)` in the overflow word for an overflow tid — the
+    /// access passes without a `sharded::step` and without scanning
+    /// the other words. This is sound by the single-writer invariant:
+    /// a word in writer state implies every other word of the granule
+    /// is empty, because a write installs only when no foreign state
+    /// exists, a foreign access is refused while the writer stands,
+    /// and `clear_thread`/`on_alloc` only remove state. So the full
+    /// step would return `Unchanged` (debug builds check both). The
+    /// concurrent `ShardedShadow` keeps the full step: racing writers
+    /// in two shards can both install before revalidating, and its
+    /// snapshots can be torn between words, so the invariant holds
+    /// only for serialized states.
+    #[inline]
     fn access(&mut self, tid: u32, granule: usize, access: Access) -> Verdict {
         assert!(
-            tid >= 1 && (tid as u64) <= crate::step::adaptive::TID_MASK,
+            tid >= 1 && (tid as u64) <= adaptive::TID_MASK,
             "thread id out of range"
         );
-        let stride = self.geom.words_per_granule();
+        let geom = self.geom;
+        let stride = geom.words_per_granule();
         let base = self.ensure(granule);
         let snapshot = &self.words[base..base + stride];
-        match sharded::step(snapshot, self.geom, tid, access) {
+        let (own, writer) = match geom.shard_of(tid) {
+            Some(s) => (s, bitmap::WRITER_FLAG | 1 << geom.local_bit(tid)),
+            None => (
+                geom.overflow_index(),
+                adaptive::pack(adaptive::TAG_EXCL, tid),
+            ),
+        };
+        if snapshot[own] == writer {
+            debug_assert!(
+                snapshot
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &w)| i == own || w == 0),
+                "single-writer invariant broken at granule {granule}: {snapshot:x?}"
+            );
+            debug_assert_eq!(
+                sharded::step(snapshot, geom, tid, access),
+                ShardStep::Unchanged
+            );
+            return Verdict::Pass;
+        }
+        match sharded::step(snapshot, geom, tid, access) {
             ShardStep::Unchanged => Verdict::Pass,
             ShardStep::Install { index, word } => {
                 self.words[base + index] = word;
-                self.logs.entry(tid).or_default().push(granule);
+                self.logs.entry(tid).push(granule);
                 Verdict::Pass
             }
             ShardStep::Conflict => Verdict::Fail(Conflict {
@@ -563,24 +689,29 @@ impl CheckBackend for BitmapBackend {
         "sharc-bitmap"
     }
 
+    #[inline]
     fn chkread(&mut self, tid: u32, granule: usize) -> Verdict {
         self.access(tid, granule, Access::Read)
     }
 
+    #[inline]
     fn chkwrite(&mut self, tid: u32, granule: usize) -> Verdict {
         self.access(tid, granule, Access::Write)
     }
 
+    #[inline]
     fn lock_held(&self, tid: u32, lock: usize) -> bool {
-        self.held.get(&tid).is_some_and(|h| h.contains(&lock))
+        self.held.get(tid).is_some_and(|h| h.contains(&lock))
     }
 
+    #[inline]
     fn on_acquire(&mut self, tid: u32, lock: usize) {
-        self.held.entry(tid).or_default().push(lock);
+        self.held.entry(tid).push(lock);
     }
 
+    #[inline]
     fn on_release(&mut self, tid: u32, lock: usize) {
-        if let Some(h) = self.held.get_mut(&tid) {
+        if let Some(h) = self.held.get_mut(tid) {
             if let Some(p) = h.iter().position(|&l| l == lock) {
                 h.remove(p);
             }
@@ -589,18 +720,16 @@ impl CheckBackend for BitmapBackend {
 
     fn on_thread_exit(&mut self, tid: u32) {
         let stride = self.geom.words_per_granule();
-        if let Some(log) = self.logs.remove(&tid) {
-            for g in log {
-                let base = g * stride;
-                if base + stride <= self.words.len() {
-                    let snapshot = &self.words[base..base + stride];
-                    if let Some((index, word)) = sharded::clear_thread(snapshot, self.geom, tid) {
-                        self.words[base + index] = word;
-                    }
+        for g in self.logs.take(tid) {
+            let base = g * stride;
+            if base + stride <= self.words.len() {
+                let snapshot = &self.words[base..base + stride];
+                if let Some((index, word)) = sharded::clear_thread(snapshot, self.geom, tid) {
+                    self.words[base + index] = word;
                 }
             }
         }
-        self.held.remove(&tid);
+        self.held.take(tid);
     }
 
     fn on_alloc(&mut self, granule: usize) {
@@ -668,6 +797,95 @@ mod tests {
         b.on_thread_exit(250);
         // tid 10 is the only reader left: its own upgrade succeeds.
         assert_eq!(b.chkwrite(10, 0), Verdict::Pass);
+    }
+
+    /// The fold oracle: `sharded::step` on every write, exits cleared
+    /// from plain maps.
+    struct Fold {
+        geom: ShadowGeometry,
+        words: Vec<u64>,
+        logs: HashMap<u32, Vec<usize>>,
+        held: HashMap<u32, Vec<usize>>,
+    }
+
+    impl Fold {
+        fn snap(&mut self, g: usize) -> &mut [u64] {
+            let stride = self.geom.words_per_granule();
+            &mut self.words[g * stride..(g + 1) * stride]
+        }
+
+        fn write(&mut self, tid: u32, g: usize) -> bool {
+            let geom = self.geom;
+            let snap = self.snap(g);
+            match sharded::step(snap, geom, tid, Access::Write) {
+                ShardStep::Unchanged => false,
+                ShardStep::Install { index, word } => {
+                    snap[index] = word;
+                    self.logs.entry(tid).or_default().push(g);
+                    false
+                }
+                ShardStep::Conflict => true,
+            }
+        }
+
+        fn exit(&mut self, tid: u32) {
+            let geom = self.geom;
+            for g in self.logs.remove(&tid).unwrap_or_default() {
+                let snap = self.snap(g);
+                if let Some((index, word)) = sharded::clear_thread(snap, geom, tid) {
+                    snap[index] = word;
+                }
+            }
+            self.held.remove(&tid);
+        }
+    }
+
+    #[test]
+    fn thread_tables_stay_bounded_from_tid_1_to_the_largest_tid() {
+        let tids = [1u32, 2, 63, 64, 315, 316, 4096, 1 << 20, (1 << 30) - 1];
+        // Each tid writes its own granule, then the shared granule 0,
+        // then its own again, takes a lock and checks it.
+        let script = |b: &mut BitmapBackend, fold: &mut Fold| {
+            for (i, &tid) in tids.iter().enumerate() {
+                for g in [i + 1, 0, i + 1] {
+                    let want = fold.write(tid, g);
+                    assert_eq!(b.chkwrite(tid, g).is_conflict(), want, "tid {tid} g {g}");
+                }
+                b.on_acquire(tid, i);
+                fold.held.entry(tid).or_default().push(i);
+                for lock in [i, i + 1] {
+                    let want = fold.held.get(&tid).is_some_and(|h| h.contains(&lock));
+                    assert_eq!(b.lock_held(tid, lock), want, "tid {tid} lock {lock}");
+                }
+            }
+        };
+        for geom in [ShadowGeometry::default(), ShadowGeometry::for_threads(256)] {
+            let mut b = BitmapBackend::with_geometry(geom);
+            let mut fold = Fold {
+                geom,
+                words: vec![0; (tids.len() + 1) * geom.words_per_granule()],
+                logs: HashMap::new(),
+                held: HashMap::new(),
+            };
+            script(&mut b, &mut fold);
+            // Dense slots never pass the exact range, whatever the
+            // tid; each overflow tid costs one map entry.
+            let overflow = tids.iter().filter(|&&t| geom.shard_of(t).is_none()).count();
+            for table in [&b.logs, &b.held] {
+                assert!(table.dense.len() <= geom.exact_threads() + 1, "{geom:?}");
+                assert_eq!(table.sparse.len(), overflow, "{geom:?}");
+            }
+            for &tid in &tids {
+                b.on_thread_exit(tid);
+                fold.exit(tid);
+            }
+            assert!(b.logs.sparse.is_empty() && b.held.sparse.is_empty());
+            for g in 0..=tids.len() {
+                assert_eq!(b.raw_words(g), fold.snap(g), "{geom:?} granule {g}");
+            }
+            // Every tid comes back after its exit: same verdicts again.
+            script(&mut b, &mut fold);
+        }
     }
 
     #[test]

@@ -264,9 +264,14 @@ impl EventSink for StreamingSink {
                 if bufs[cur].len() < self.cap {
                     let s = self.stamp.fetch_add(1, Ordering::SeqCst);
                     bufs[(s >> 63) as usize].push((s & SEQ_MASK, e));
+                    // Count the event before releasing the ring lock.
+                    // A collector drains this buffer only under the
+                    // same lock, so the lock's release/acquire puts
+                    // this add before its `fetch_sub` for the event,
+                    // and `resident` never wraps below zero.
+                    let r = self.resident.fetch_add(1, Ordering::Relaxed) + 1;
                     drop(bufs);
                     self.recorded.fetch_add(1, Ordering::Relaxed);
-                    let r = self.resident.fetch_add(1, Ordering::Relaxed) + 1;
                     self.peak_resident.fetch_max(r, Ordering::Relaxed);
                     return;
                 }

@@ -27,8 +27,8 @@
 use std::collections::HashMap;
 
 use sharc_checker::{
-    geometry_for_trace, BitmapBackend, CheckBackend, CheckEvent, EventSink, OwnedCache,
-    ShadowGeometry, StreamingSink,
+    geometry_for_trace, Access, BitmapBackend, CheckBackend, CheckEvent, CheckKind, Conflict,
+    EventSink, OwnedCache, ShadowGeometry, StreamingSink,
 };
 use sharc_detectors::{BaselineBackend, Eraser, VcDetector};
 use sharc_runtime::{ScalableShadow, Shadow, ShardedShadow, ThreadId, WideThreadId};
@@ -1587,5 +1587,250 @@ fn stunnel_streaming_is_bit_identical_to_replay_at_fleet_width() {
     assert!(
         !eraser_conflicts.is_empty(),
         "Eraser must false-positive while streaming live"
+    );
+}
+
+// ----- The sequential judge against a bare step fold -----
+
+/// The independent oracle for [`BitmapBackend`]: a bare fold over the
+/// event vocabulary that runs `sharded::step` on *every* access and
+/// `sharded::clear_thread` on every logged granule at exit, with
+/// plain maps for the per-thread logs and no fast path. The other
+/// differentials take `BitmapBackend` itself as their oracle; this
+/// one is untouched by the backend's exclusive-owner fast path and
+/// thread tables.
+struct StepFold {
+    geom: ShadowGeometry,
+    words: Vec<u64>,
+    logs: HashMap<u32, Vec<usize>>,
+    held: HashMap<u32, Vec<usize>>,
+}
+
+impl StepFold {
+    fn new(geom: ShadowGeometry, granules: usize) -> Self {
+        StepFold {
+            geom,
+            words: vec![0; granules * geom.words_per_granule()],
+            logs: HashMap::new(),
+            held: HashMap::new(),
+        }
+    }
+
+    fn words(&self, granule: usize) -> &[u64] {
+        let stride = self.geom.words_per_granule();
+        &self.words[granule * stride..(granule + 1) * stride]
+    }
+
+    fn access(&mut self, tid: u32, granule: usize, access: Access, out: &mut Vec<Conflict>) {
+        use sharc_checker::step::sharded::{self, ShardStep};
+        match sharded::step(self.words(granule), self.geom, tid, access) {
+            ShardStep::Unchanged => {}
+            ShardStep::Install { index, word } => {
+                self.words[granule * self.geom.words_per_granule() + index] = word;
+                self.logs.entry(tid).or_default().push(granule);
+            }
+            ShardStep::Conflict => out.push(Conflict {
+                kind: if access.is_write() {
+                    CheckKind::Write
+                } else {
+                    CheckKind::Read
+                },
+                tid,
+                granule,
+            }),
+        }
+    }
+
+    fn clear(&mut self, granule: usize) {
+        let stride = self.geom.words_per_granule();
+        self.words[granule * stride..(granule + 1) * stride].fill(0);
+    }
+
+    fn cast(&mut self, tid: u32, granule: usize, refs: u64, out: &mut Vec<Conflict>) {
+        if refs <= 1 {
+            self.clear(granule);
+        } else {
+            out.push(Conflict {
+                kind: CheckKind::OneRef,
+                tid,
+                granule,
+            });
+        }
+    }
+
+    /// The conflicts of one event, ranges expanded granule by granule.
+    fn apply(&mut self, e: CheckEvent) -> Vec<Conflict> {
+        use sharc_checker::step::sharded;
+        use CheckEvent as E;
+        let mut out = Vec::new();
+        match e {
+            E::Read { tid, granule } => self.access(tid, granule, Access::Read, &mut out),
+            E::Write { tid, granule } => self.access(tid, granule, Access::Write, &mut out),
+            E::RangeRead { tid, granule, len } => {
+                for g in granule..granule + len {
+                    self.access(tid, g, Access::Read, &mut out);
+                }
+            }
+            E::RangeWrite { tid, granule, len } => {
+                for g in granule..granule + len {
+                    self.access(tid, g, Access::Write, &mut out);
+                }
+            }
+            E::LockedAccess { tid, lock } => {
+                if !self.held.get(&tid).is_some_and(|h| h.contains(&lock)) {
+                    out.push(Conflict {
+                        kind: CheckKind::Lock,
+                        tid,
+                        granule: lock,
+                    });
+                }
+            }
+            E::SharingCast { tid, granule, refs } => self.cast(tid, granule, refs, &mut out),
+            E::RangeCast {
+                tid,
+                granule,
+                len,
+                refs,
+            } => {
+                for g in granule..granule + len {
+                    self.cast(tid, g, refs, &mut out);
+                }
+            }
+            E::RangeFree { granule, len } => {
+                for g in granule..granule + len {
+                    self.clear(g);
+                }
+            }
+            E::Alloc { granule } => self.clear(granule),
+            E::Acquire { tid, lock } => self.held.entry(tid).or_default().push(lock),
+            E::Release { tid, lock } => {
+                if let Some(h) = self.held.get_mut(&tid) {
+                    if let Some(p) = h.iter().position(|&l| l == lock) {
+                        h.remove(p);
+                    }
+                }
+            }
+            E::ThreadExit { tid } => {
+                let stride = self.geom.words_per_granule();
+                for g in self.logs.remove(&tid).unwrap_or_default() {
+                    if let Some((index, word)) =
+                        sharded::clear_thread(self.words(g), self.geom, tid)
+                    {
+                        self.words[g * stride + index] = word;
+                    }
+                }
+                self.held.remove(&tid);
+            }
+            E::Fork { .. } | E::Join { .. } => {}
+        }
+        out
+    }
+}
+
+/// Granule universe of the step-fold differential.
+const FOLD_GRANULES: usize = 8;
+
+/// Four tids per case, drawn from three bands: exact in one shard
+/// (`1..=63`), exact only in five shards (`64..=315`), and past every
+/// exact range up to the largest tid (`2³⁰ − 1`).
+fn fold_tid_gen() -> Gen<u32> {
+    gen::one_of(vec![
+        gen::u32_range(1..64),
+        gen::u32_range(64..316),
+        gen::choose(vec![316, 4096, 1 << 20, (1 << 30) - 1]),
+    ])
+}
+
+/// One event of the full vocabulary from a drawn `(kind, tid,
+/// granule)`: point and ranged accesses, lock traffic, passing and
+/// failing point and ranged casts, exits, ranged frees and allocs.
+fn fold_event(kind: u32, tid: u32, granule: usize) -> CheckEvent {
+    use CheckEvent as E;
+    let lock = granule % 3;
+    let len = (granule % 3 + 1).min(FOLD_GRANULES - granule);
+    let refs = if granule % 4 == 3 { 2 } else { 1 };
+    match kind {
+        0..=2 => E::Read { tid, granule },
+        3..=5 => E::Write { tid, granule },
+        6 => E::RangeRead { tid, granule, len },
+        7 => E::RangeWrite { tid, granule, len },
+        8 => E::Acquire { tid, lock },
+        9 => E::Release { tid, lock },
+        10 => E::LockedAccess { tid, lock },
+        11 => E::SharingCast { tid, granule, refs },
+        12 => E::RangeCast {
+            tid,
+            granule,
+            len,
+            refs,
+        },
+        13 => E::ThreadExit { tid },
+        14 => E::RangeFree { granule, len },
+        _ => E::Alloc { granule },
+    }
+}
+
+/// `BitmapBackend` — exclusive-owner fast path, dense thread tables
+/// and all — equals the bare `sharded::step` fold on every event's
+/// verdicts and on every granule's shadow words after every event.
+/// Geometries: one shard, five shards, and no shards at all, so pool
+/// tids past the exact range go through the overflow word and its
+/// `EXCL` fast path. The vocabulary includes point and ranged casts
+/// (passing and failing), ranged frees, exits, and accesses by a tid
+/// after its own exit.
+#[test]
+fn bitmap_backend_equals_bare_step_fold() {
+    let geometries = [
+        ShadowGeometry::for_threads(63),
+        ShadowGeometry::for_threads(256),
+        ShadowGeometry::adaptive_only(),
+    ];
+    forall!(
+        "bitmap_backend_equals_bare_step_fold",
+        Config::from_env(),
+        gen::triple(
+            gen::usize_range(0..geometries.len()),
+            gen::vec_of(fold_tid_gen(), 4..5),
+            // (kind, index into the tid pool, granule): each pool tid
+            // recurs, so owners re-access, exit, and come back.
+            gen::vec_of(
+                gen::triple(
+                    gen::u32_range(0..16),
+                    gen::usize_range(0..4),
+                    gen::usize_range(0..FOLD_GRANULES),
+                ),
+                0..128,
+            ),
+        ),
+        |(which, pool, draws)| {
+            let geom = geometries[*which];
+            let mut backend = BitmapBackend::with_geometry(geom);
+            let mut fold = StepFold::new(geom, FOLD_GRANULES);
+            for (i, &(kind, t, granule)) in draws.iter().enumerate() {
+                let e = fold_event(kind, pool[t], granule);
+                let mut got = Vec::new();
+                sharc_checker::apply_event(e, &mut backend, &mut got);
+                let want = fold.apply(e);
+                prop_assert!(
+                    got == want,
+                    "event {} {:?} ({:?}): backend {:?} vs fold {:?}",
+                    i,
+                    e,
+                    geom,
+                    got,
+                    want
+                );
+                for g in 0..FOLD_GRANULES {
+                    prop_assert!(
+                        backend.raw_words(g) == fold.words(g),
+                        "event {} {:?} ({:?}): words of granule {}",
+                        i,
+                        e,
+                        geom,
+                        g
+                    );
+                }
+            }
+        }
     );
 }
