@@ -10,7 +10,7 @@
 //! counts.
 
 use sharc_checker::{CheckEvent, EventLog, EventSink, OwnedCache, ShadowGeometry};
-use sharc_runtime::{ScalableShadow, Shadow, ShardedShadow, ThreadId, WideThreadId};
+use sharc_runtime::{Shadow, ShardedShadow, ThreadId, WideThreadId};
 use sharc_testkit::Bench;
 
 /// Working set sized to the cache's default slot count, so the
@@ -242,7 +242,7 @@ fn main() {
     // The ≤63-thread fast path (one shard, the default geometry)
     // against the wide five-shard geometry, with both an in-shard tid
     // and a tid that lives past the first shard; plus the
-    // adaptive-only wrapper for reference. All loops are steady-state
+    // adaptive-only geometry for reference. All loops are steady-state
     // owned writes, the same shape as the bitmap benches above.
     {
         let s = ShardedShadow::new(GRANULES);
@@ -278,7 +278,7 @@ fn main() {
         });
     }
     {
-        let s = ScalableShadow::new(GRANULES);
+        let s = ShardedShadow::with_geometry(GRANULES, ShadowGeometry::adaptive_only());
         g.bench("sharded/adaptive-write-tid1000", || {
             for i in 0..GRANULES {
                 s.check_write(i, WideThreadId(1000)).unwrap();

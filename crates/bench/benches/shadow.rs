@@ -1,11 +1,13 @@
 //! Bench comparing the paper's bitmap shadow encoding (exact, 8n-1
 //! threads in n bytes) against the scalable adaptive encoding
-//! (§4.2.1 future work: unbounded thread ids in 8 bytes).
+//! (§4.2.1 future work: unbounded thread ids in 8 bytes), which is
+//! the sharded shadow on the adaptive-only geometry.
 //!
 //! Runs on the sharc-testkit bench harness (`harness = false`);
 //! results land in `target/BENCH_shadow.json`.
 
-use sharc_runtime::{ScalableShadow, Shadow, ThreadId, WideThreadId};
+use sharc_checker::ShadowGeometry;
+use sharc_runtime::{Shadow, ShardedShadow, ThreadId, WideThreadId};
 use sharc_testkit::Bench;
 
 const GRANULES: usize = 4096;
@@ -24,7 +26,7 @@ fn main() {
         });
     }
     {
-        let s = ScalableShadow::new(GRANULES);
+        let s = ShardedShadow::with_geometry(GRANULES, ShadowGeometry::adaptive_only());
         let t = WideThreadId(1);
         g.bench("scalable/read-hot", || {
             for i in 0..GRANULES {
@@ -42,7 +44,7 @@ fn main() {
         });
     }
     {
-        let s = ScalableShadow::new(GRANULES);
+        let s = ShardedShadow::with_geometry(GRANULES, ShadowGeometry::adaptive_only());
         let t = WideThreadId(1);
         g.bench("scalable/write-hot", || {
             for i in 0..GRANULES {

@@ -24,8 +24,8 @@ use sharc_bench::{
     handoff_trace, scan_workload_baseline, scan_workload_detector, scan_workload_sharc,
     timed_replay,
 };
-use sharc_checker::{BitmapBackend, CheckBackend};
-use sharc_detectors::{BaselineBackend, Detector, Eraser, Online, VcDetector};
+use sharc_checker::{replay, BitmapBackend, CheckBackend};
+use sharc_detectors::{BaselineBackend, Eraser, Online, VcDetector};
 use sharc_interp::{compile_and_run, VmConfig};
 use sharc_runtime::{Arena, Checked};
 use std::sync::Arc;
@@ -71,8 +71,8 @@ fn main() {
 
     println!("\n== Precision: ownership hand-off (producer -> consumer) ==\n");
     let trace = handoff_trace(50);
-    let eraser_fp = Eraser::new().run(&trace).len();
-    let vc_fp = VcDetector::new().run(&trace).len();
+    let eraser_fp = replay(&trace, &mut BaselineBackend::new(Eraser::new())).len();
+    let vc_fp = replay(&trace, &mut BaselineBackend::new(VcDetector::new())).len();
 
     // The same idiom under SharC, as a MiniC program with sharing
     // casts: no reports.

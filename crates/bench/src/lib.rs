@@ -12,7 +12,7 @@
 //!   vector-clock monitoring of *every* access (§6.2's 10×–30×).
 
 use sharc_checker::{replay, CheckBackend, CheckEvent, Conflict, OwnedCache};
-use sharc_detectors::{Detector, Event, Online};
+use sharc_detectors::{Detector, Online};
 use sharc_runtime::{AccessPolicy, Arena, ObjId, RcScheme, Shadow, ThreadCtx, ThreadId};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -83,7 +83,7 @@ pub fn scan_workload_sharc<P: AccessPolicy>(
     (start.elapsed(), checksum)
 }
 
-/// The same scan monitored by a trace detector on *every* access
+/// The same scan monitored by a baseline detector on *every* access
 /// (how Eraser-class tools work).
 pub fn scan_workload_detector<D: Detector + Default + Send + 'static>(
     detector: Arc<Online<D>>,
@@ -166,16 +166,19 @@ pub fn timed_replay(
 /// An ownership-transfer trace (producer/consumer via two locks):
 /// legal under SharC's sharing casts, a false positive for the
 /// baselines.
-pub fn handoff_trace(rounds: usize) -> Vec<Event> {
-    let mut t = vec![Event::Fork { tid: 1, child: 2 }];
+pub fn handoff_trace(rounds: usize) -> Vec<CheckEvent> {
+    let mut t = vec![CheckEvent::Fork {
+        parent: 1,
+        child: 2,
+    }];
     for r in 0..rounds {
-        let loc = r % 8;
-        t.push(Event::Acquire { tid: 1, lock: 1 });
-        t.push(Event::Write { tid: 1, loc });
-        t.push(Event::Release { tid: 1, lock: 1 });
-        t.push(Event::Acquire { tid: 2, lock: 2 });
-        t.push(Event::Write { tid: 2, loc });
-        t.push(Event::Release { tid: 2, lock: 2 });
+        let granule = r % 8;
+        t.push(CheckEvent::Acquire { tid: 1, lock: 1 });
+        t.push(CheckEvent::Write { tid: 1, granule });
+        t.push(CheckEvent::Release { tid: 1, lock: 1 });
+        t.push(CheckEvent::Acquire { tid: 2, lock: 2 });
+        t.push(CheckEvent::Write { tid: 2, granule });
+        t.push(CheckEvent::Release { tid: 2, lock: 2 });
     }
     t
 }
@@ -1179,9 +1182,9 @@ mod tests {
 
     #[test]
     fn handoff_trace_is_false_positive_for_baselines() {
-        use sharc_detectors::{Eraser, VcDetector};
+        use sharc_detectors::{BaselineBackend, Eraser, VcDetector};
         let trace = handoff_trace(10);
-        assert!(!Eraser::new().run(&trace).is_empty());
-        assert!(!VcDetector::new().run(&trace).is_empty());
+        assert!(!replay(&trace, &mut BaselineBackend::new(Eraser::new())).is_empty());
+        assert!(!replay(&trace, &mut BaselineBackend::new(VcDetector::new())).is_empty());
     }
 }

@@ -7,8 +7,10 @@
 //!
 //! * `sharc-runtime`'s `Shadow` runs [`bitmap::step`] inside a
 //!   compare-exchange retry loop (the portable `cmpxchg` of §4.2.1);
-//! * `sharc-runtime`'s `ScalableShadow` does the same with
-//!   [`adaptive::step`];
+//! * `sharc-runtime`'s `ShardedShadow` does the same with
+//!   [`sharded::step`], whose words are [`bitmap::step`] shards plus
+//!   one [`adaptive::step`] overflow word (adaptive only under
+//!   [`crate::ShadowGeometry::adaptive_only`]);
 //! * `sharc-interp`'s VM applies [`bitmap::step`] directly — its
 //!   scheduler serializes instructions, so no CAS is needed, and the
 //!   verdicts are *identical by construction* to the real-thread
@@ -140,8 +142,9 @@ pub mod bitmap {
 /// ```
 ///
 /// Sound for any number of threads; exact whenever a granule has at
-/// most one concurrent reader (see `ScalableShadow`'s docs for the
-/// documented imprecision at thread exit).
+/// most one concurrent reader: once a granule is `SHARED_READ`, a
+/// reader's exit cannot be subtracted, so the next writer conflicts
+/// (soundly, imprecisely) until a `free` or sharing cast resets it.
 pub mod adaptive {
     use super::{Access, Transition};
 

@@ -1,29 +1,49 @@
-//! Adapting the baseline detectors to the unified
-//! [`CheckBackend`] interface, so one seeded execution can be
-//! replayed through SharC's own engine, Eraser's locksets, or the
-//! vector-clock detector and the verdicts compared directly
+//! The baseline detectors' hooks ([`Detector`]) and their one
+//! [`CheckBackend`], so one seeded execution can be replayed through
+//! SharC's own engine, Eraser's locksets, or the vector-clock
+//! detector and the verdicts compared directly
 //! (`sharc run --detector sharc|eraser|vc`).
 //!
-//! The adapter is deliberately lossy in one direction: baselines
-//! have no notion of sharing casts, so [`CheckBackend::on_cast_clear`]
-//! is ignored and `oneref` always passes. That is not a bug — it is
-//! the paper's §6.2 observation reproduced as code: detectors without
-//! an ownership-transfer model keep judging the object by its
-//! pre-transfer history and false-positive on hand-off idioms that
-//! SharC accepts.
+//! [`BaselineBackend`] is the single home of the baselines' §6.2
+//! policy: it keeps the held-lock log, and it is deliberately lossy
+//! in one direction — baselines have no notion of sharing casts, so
+//! [`CheckBackend::on_cast_clear`] is ignored and `oneref` always
+//! passes. That is not a bug — it is the paper's §6.2 observation
+//! reproduced as code: detectors without an ownership-transfer model
+//! keep judging the object by its pre-transfer history and
+//! false-positive on hand-off idioms that SharC accepts.
 
-use crate::trace::{Detector, Event, Race};
 use sharc_checker::{CheckBackend, CheckKind, Conflict, Verdict};
 use std::collections::HashMap;
 
-/// Wraps any trace [`Detector`] (Eraser, `VcDetector`, …) as a
-/// [`CheckBackend`]. Granules map to detector locations one-to-one;
-/// the held-lock log needed by `lock_held` is maintained here, since
-/// the baselines track locksets internally but do not expose them.
+/// A baseline race detector, as granule-level hooks over the
+/// checker's `(tid, granule, lock)` vocabulary. [`BaselineBackend`]
+/// drives it from [`sharc_checker::CheckEvent`]s.
+pub trait Detector {
+    /// The detector's name for reports.
+    fn name(&self) -> &'static str;
+    /// `tid` reads (`is_write = false`) or writes `granule`; true if
+    /// the access races.
+    fn access(&mut self, tid: u32, granule: usize, is_write: bool) -> bool;
+    /// `tid` acquired `lock`.
+    fn acquire(&mut self, tid: u32, lock: usize);
+    /// `tid` released `lock`.
+    fn release(&mut self, tid: u32, lock: usize);
+    /// `parent` spawned `child`.
+    fn fork(&mut self, parent: u32, child: u32);
+    /// `parent` joined `child`.
+    fn join(&mut self, parent: u32, child: u32);
+    /// `granule` is (re)allocated: its detector state resets.
+    fn alloc(&mut self, granule: usize);
+}
+
+/// Wraps a [`Detector`] (Eraser, `VcDetector`, …) as a
+/// [`CheckBackend`]. The held-lock log needed by `lock_held` is
+/// maintained here, since the baselines track locksets internally but
+/// do not expose them.
 #[derive(Debug)]
 pub struct BaselineBackend<D: Detector> {
     detector: D,
-    name: &'static str,
     held: HashMap<u32, Vec<usize>>,
 }
 
@@ -36,40 +56,32 @@ impl<D: Detector + Default> Default for BaselineBackend<D> {
 impl<D: Detector> BaselineBackend<D> {
     /// Wraps `detector`.
     pub fn new(detector: D) -> Self {
-        let name = detector.name();
         BaselineBackend {
             detector,
-            name,
             held: HashMap::new(),
         }
     }
 
-    /// The wrapped detector, for inspecting its final state.
-    pub fn into_inner(self) -> D {
-        self.detector
-    }
-
-    fn verdict(&self, race: Option<Race>, kind: CheckKind, tid: u32, granule: usize) -> Verdict {
-        match race {
-            None => Verdict::Pass,
-            Some(_) => Verdict::Fail(Conflict { kind, tid, granule }),
+    fn check(&mut self, kind: CheckKind, tid: u32, granule: usize) -> Verdict {
+        if self.detector.access(tid, granule, kind == CheckKind::Write) {
+            Verdict::Fail(Conflict { kind, tid, granule })
+        } else {
+            Verdict::Pass
         }
     }
 }
 
 impl<D: Detector> CheckBackend for BaselineBackend<D> {
     fn name(&self) -> &'static str {
-        self.name
+        self.detector.name()
     }
 
     fn chkread(&mut self, tid: u32, granule: usize) -> Verdict {
-        let r = self.detector.on_event(Event::Read { tid, loc: granule });
-        self.verdict(r, CheckKind::Read, tid, granule)
+        self.check(CheckKind::Read, tid, granule)
     }
 
     fn chkwrite(&mut self, tid: u32, granule: usize) -> Verdict {
-        let r = self.detector.on_event(Event::Write { tid, loc: granule });
-        self.verdict(r, CheckKind::Write, tid, granule)
+        self.check(CheckKind::Write, tid, granule)
     }
 
     fn lock_held(&self, tid: u32, lock: usize) -> bool {
@@ -84,7 +96,7 @@ impl<D: Detector> CheckBackend for BaselineBackend<D> {
 
     fn on_acquire(&mut self, tid: u32, lock: usize) {
         self.held.entry(tid).or_default().push(lock);
-        let _ = self.detector.on_event(Event::Acquire { tid, lock });
+        self.detector.acquire(tid, lock);
     }
 
     fn on_release(&mut self, tid: u32, lock: usize) {
@@ -93,15 +105,15 @@ impl<D: Detector> CheckBackend for BaselineBackend<D> {
                 h.remove(p);
             }
         }
-        let _ = self.detector.on_event(Event::Release { tid, lock });
+        self.detector.release(tid, lock);
     }
 
     fn on_fork(&mut self, parent: u32, child: u32) {
-        let _ = self.detector.on_event(Event::Fork { tid: parent, child });
+        self.detector.fork(parent, child);
     }
 
     fn on_join(&mut self, parent: u32, child: u32) {
-        let _ = self.detector.on_event(Event::Join { tid: parent, child });
+        self.detector.join(parent, child);
     }
 
     fn on_thread_exit(&mut self, tid: u32) {
@@ -111,7 +123,7 @@ impl<D: Detector> CheckBackend for BaselineBackend<D> {
     }
 
     fn on_alloc(&mut self, granule: usize) {
-        let _ = self.detector.on_event(Event::Alloc { loc: granule });
+        self.detector.alloc(granule);
     }
 
     // `on_cast_clear` intentionally keeps the default no-op: the

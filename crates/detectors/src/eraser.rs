@@ -17,14 +17,14 @@
 //! hand-off idioms produce false positives — exactly the weakness
 //! SharC's sharing casts address.
 
-use crate::trace::{Detector, Event, Loc, Race, Tid};
+use crate::Detector;
 use std::collections::{HashMap, HashSet};
 
 /// Per-location monitoring state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum LocState {
     Virgin,
-    Exclusive(Tid),
+    Exclusive(u32),
     Shared,
     SharedModified,
 }
@@ -50,8 +50,8 @@ impl Default for LocInfo {
 /// The Eraser lockset detector.
 #[derive(Debug, Default)]
 pub struct Eraser {
-    locs: HashMap<Loc, LocInfo>,
-    held: HashMap<Tid, HashSet<usize>>,
+    locs: HashMap<usize, LocInfo>,
+    held: HashMap<u32, HashSet<usize>>,
 }
 
 impl Eraser {
@@ -69,15 +69,31 @@ impl Eraser {
         }
     }
 
-    fn access(&mut self, tid: Tid, loc: Loc, is_write: bool) -> Option<Race> {
-        let held = self.held.entry(tid).or_default().clone();
-        let info = self.locs.entry(loc).or_default();
-        match info.state.clone() {
+    fn maybe_report(info: &mut LocInfo) -> bool {
+        let empty = info.candidates.as_ref().is_some_and(|c| c.is_empty());
+        if empty && !info.reported {
+            info.reported = true;
+            true
+        } else {
+            false
+        }
+    }
+}
+
+impl Detector for Eraser {
+    fn name(&self) -> &'static str {
+        "eraser-lockset"
+    }
+
+    fn access(&mut self, tid: u32, granule: usize, is_write: bool) -> bool {
+        let held = self.held.entry(tid).or_default();
+        let info = self.locs.entry(granule).or_default();
+        match info.state {
             LocState::Virgin => {
                 info.state = LocState::Exclusive(tid);
-                None
+                false
             }
-            LocState::Exclusive(owner) if owner == tid => None,
+            LocState::Exclusive(owner) if owner == tid => false,
             LocState::Exclusive(_) => {
                 // First access by a second thread.
                 info.state = if is_write {
@@ -85,100 +101,65 @@ impl Eraser {
                 } else {
                     LocState::Shared
                 };
-                Self::refine(info, &held);
-                if info.state == LocState::SharedModified {
-                    Self::maybe_report(info, tid, loc, is_write)
-                } else {
-                    None
-                }
+                Self::refine(info, held);
+                info.state == LocState::SharedModified && Self::maybe_report(info)
             }
             LocState::Shared => {
                 if is_write {
                     info.state = LocState::SharedModified;
                 }
-                Self::refine(info, &held);
-                if info.state == LocState::SharedModified {
-                    Self::maybe_report(info, tid, loc, is_write)
-                } else {
-                    None
-                }
+                Self::refine(info, held);
+                info.state == LocState::SharedModified && Self::maybe_report(info)
             }
             LocState::SharedModified => {
-                Self::refine(info, &held);
-                Self::maybe_report(info, tid, loc, is_write)
+                Self::refine(info, held);
+                Self::maybe_report(info)
             }
         }
     }
 
-    fn maybe_report(info: &mut LocInfo, tid: Tid, loc: Loc, was_write: bool) -> Option<Race> {
-        let empty = info
-            .candidates
-            .as_ref()
-            .map(|c| c.is_empty())
-            .unwrap_or(false);
-        if empty && !info.reported {
-            info.reported = true;
-            Some(Race {
-                loc,
-                tid,
-                was_write,
-            })
-        } else {
-            None
-        }
-    }
-}
-
-impl Detector for Eraser {
-    fn on_event(&mut self, e: Event) -> Option<Race> {
-        match e {
-            Event::Read { tid, loc } => self.access(tid, loc, false),
-            Event::Write { tid, loc } => self.access(tid, loc, true),
-            Event::Acquire { tid, lock } => {
-                self.held.entry(tid).or_default().insert(lock);
-                None
-            }
-            Event::Release { tid, lock } => {
-                self.held.entry(tid).or_default().remove(&lock);
-                None
-            }
-            // Eraser has no happens-before model: fork/join are
-            // ignored (a known source of false positives).
-            Event::Fork { .. } | Event::Join { .. } => None,
-            Event::Alloc { loc } => {
-                self.locs.insert(loc, LocInfo::default());
-                None
-            }
-        }
+    fn acquire(&mut self, tid: u32, lock: usize) {
+        self.held.entry(tid).or_default().insert(lock);
     }
 
-    fn name(&self) -> &'static str {
-        "eraser-lockset"
+    fn release(&mut self, tid: u32, lock: usize) {
+        self.held.entry(tid).or_default().remove(&lock);
+    }
+
+    // Eraser has no happens-before model: fork/join are ignored (a
+    // known source of false positives).
+    fn fork(&mut self, _parent: u32, _child: u32) {}
+
+    fn join(&mut self, _parent: u32, _child: u32) {}
+
+    fn alloc(&mut self, granule: usize) {
+        self.locs.insert(granule, LocInfo::default());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::fixtures;
+    use crate::fixtures::{self, run};
+    use sharc_checker::{CheckEvent, CheckKind};
 
     #[test]
     fn detects_unsynchronized_race() {
-        let races = Eraser::new().run(&fixtures::unsynchronized_write_race());
+        let races = run(Eraser::new(), &fixtures::unsynchronized_write_race());
         assert_eq!(races.len(), 1);
-        assert!(races[0].was_write);
+        assert_eq!(races[0].kind, CheckKind::Write);
     }
 
     #[test]
     fn lock_protected_is_clean() {
-        let races = Eraser::new().run(&fixtures::lock_protected());
+        let races = run(Eraser::new(), &fixtures::lock_protected());
         assert!(races.is_empty(), "{races:?}");
     }
 
     #[test]
     fn initialization_then_read_sharing_is_clean() {
         // Exclusive -> Shared never reports without a write.
-        let races = Eraser::new().run(&fixtures::init_then_share_readonly());
+        let races = run(Eraser::new(), &fixtures::init_then_share_readonly());
         assert!(races.is_empty(), "{races:?}");
     }
 
@@ -187,23 +168,22 @@ mod tests {
         // Eraser ignores fork/join ordering, so the perfectly
         // synchronized hand-off is reported — a false positive that
         // SharC's model avoids.
-        let races = Eraser::new().run(&fixtures::fork_join_handoff());
+        let races = run(Eraser::new(), &fixtures::fork_join_handoff());
         assert_eq!(races.len(), 1, "Eraser's known false positive");
     }
 
     #[test]
     fn lock_handoff_two_locks_false_positive() {
-        let races = Eraser::new().run(&fixtures::lock_handoff_two_locks());
+        let races = run(Eraser::new(), &fixtures::lock_handoff_two_locks());
         assert_eq!(races.len(), 1, "lockset refinement empties");
     }
 
     #[test]
     fn alloc_resets_state() {
-        let mut d = Eraser::new();
         let mut trace = fixtures::unsynchronized_write_race();
-        trace.push(Event::Alloc { loc: 0 });
-        trace.push(Event::Write { tid: 3, loc: 0 });
-        let races = d.run(&trace);
+        trace.push(CheckEvent::Alloc { granule: 0 });
+        trace.push(CheckEvent::Write { tid: 3, granule: 0 });
+        let races = run(Eraser::new(), &trace);
         assert_eq!(races.len(), 1, "reset location starts Virgin again");
     }
 
@@ -211,10 +191,10 @@ mod tests {
     fn one_report_per_location() {
         let mut trace = fixtures::unsynchronized_write_race();
         for _ in 0..5 {
-            trace.push(Event::Write { tid: 1, loc: 0 });
-            trace.push(Event::Write { tid: 2, loc: 0 });
+            trace.push(CheckEvent::Write { tid: 1, granule: 0 });
+            trace.push(CheckEvent::Write { tid: 2, granule: 0 });
         }
-        let races = Eraser::new().run(&trace);
+        let races = run(Eraser::new(), &trace);
         assert_eq!(races.len(), 1);
     }
 }

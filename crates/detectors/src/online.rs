@@ -4,28 +4,24 @@
 //! shared per-location state; that is where their 10×–30× overhead
 //! comes from. To measure the shape of that cost against SharC's
 //! checks (which only touch a shadow byte for dynamic-mode data), we
-//! wrap each detector's per-location state in a sharded mutex table
-//! that real worker threads feed on every access.
+//! split a [`BaselineBackend`] into a sharded mutex table that real
+//! worker threads feed on every access.
 
-use crate::trace::{Detector, Event, Loc, Race, Tid};
-use sharc_checker::{CheckBackend, CheckKind, Conflict, Verdict};
+use crate::{BaselineBackend, Detector};
+use sharc_checker::{CheckBackend, Verdict};
 use sharc_testkit::sync::Mutex;
-use std::collections::HashMap;
 
-/// Number of shards; accesses hash by location.
+/// Number of shards; accesses route by granule.
 const SHARDS: usize = 64;
 
-/// A sharded, thread-safe wrapper running one detector instance per
-/// shard. Sound for detectors whose per-location state is
-/// independent given per-thread context that is replicated into
-/// every shard (locks/fork/join events are broadcast).
+/// A sharded, thread-safe front-end running one [`BaselineBackend`]
+/// per shard. It only routes: accesses and allocations go to their
+/// granule's shard, and synchronization events (lock, fork, join,
+/// exit) are broadcast to every shard, so each keeps the per-thread
+/// context its detector needs. Sound for detectors whose
+/// per-location state is independent given that context.
 pub struct Online<D: Detector> {
-    shards: Vec<Mutex<D>>,
-    races: Mutex<Vec<Race>>,
-    /// Held-lock log per thread, for the [`CheckBackend`] `locked(l)`
-    /// check (the wrapped detectors keep locksets internally but do
-    /// not expose them).
-    held: Mutex<HashMap<Tid, Vec<usize>>>,
+    shards: Vec<Mutex<BaselineBackend<D>>>,
 }
 
 impl<D: Detector> std::fmt::Debug for Online<D> {
@@ -44,134 +40,81 @@ impl<D: Detector + Default> Online<D> {
     /// Creates the sharded detector.
     pub fn new() -> Self {
         let mut shards = Vec::with_capacity(SHARDS);
-        shards.resize_with(SHARDS, || Mutex::new(D::default()));
-        Online {
-            shards,
-            races: Mutex::new(Vec::new()),
-            held: Mutex::new(HashMap::new()),
-        }
+        shards.resize_with(SHARDS, || Mutex::new(BaselineBackend::default()));
+        Online { shards }
     }
 }
 
 impl<D: Detector> Online<D> {
-    fn shard(&self, loc: Loc) -> &Mutex<D> {
-        &self.shards[loc % SHARDS]
+    fn shard(&self, granule: usize) -> &Mutex<BaselineBackend<D>> {
+        &self.shards[granule % SHARDS]
     }
 
-    /// Records a read access.
-    pub fn read(&self, tid: Tid, loc: Loc) {
-        if let Some(r) = self.shard(loc).lock().on_event(Event::Read { tid, loc }) {
-            self.races.lock().push(r);
+    fn broadcast(&mut self, f: impl Fn(&mut BaselineBackend<D>)) {
+        for s in &mut self.shards {
+            f(s.get_mut());
         }
     }
 
-    /// Records a write access.
-    pub fn write(&self, tid: Tid, loc: Loc) {
-        if let Some(r) = self.shard(loc).lock().on_event(Event::Write { tid, loc }) {
-            self.races.lock().push(r);
-        }
+    /// The `chkread` check, callable from many threads at once.
+    pub fn read(&self, tid: u32, granule: usize) -> Verdict {
+        self.shard(granule).lock().chkread(tid, granule)
     }
 
-    /// Broadcasts a synchronization event to every shard (each shard
-    /// needs the thread's lockset / clock context).
-    pub fn sync(&self, e: Event) {
-        debug_assert!(!matches!(e, Event::Read { .. } | Event::Write { .. }));
-        for s in &self.shards {
-            let _ = s.lock().on_event(e);
-        }
-    }
-
-    /// All races recorded so far.
-    pub fn races(&self) -> Vec<Race> {
-        self.races.lock().clone()
-    }
-
-    /// Shared access path for the [`CheckBackend`] impl: runs the
-    /// event on the right shard, records any race, returns a verdict.
-    fn checked_access(&self, tid: Tid, loc: Loc, is_write: bool) -> Verdict {
-        let e = if is_write {
-            Event::Write { tid, loc }
-        } else {
-            Event::Read { tid, loc }
-        };
-        match self.shard(loc).lock().on_event(e) {
-            None => Verdict::Pass,
-            Some(r) => {
-                self.races.lock().push(r);
-                Verdict::Fail(Conflict {
-                    kind: if is_write {
-                        CheckKind::Write
-                    } else {
-                        CheckKind::Read
-                    },
-                    tid,
-                    granule: loc,
-                })
-            }
-        }
+    /// The `chkwrite` check, callable from many threads at once.
+    pub fn write(&self, tid: u32, granule: usize) -> Verdict {
+        self.shard(granule).lock().chkwrite(tid, granule)
     }
 }
 
 /// The sharded front-end speaks the unified check interface too, so
-/// real-thread harnesses can swap it in wherever a
-/// [`sharc_checker::BitmapBackend`] or a
-/// [`crate::BaselineBackend`] is expected. Like the baselines it
-/// wraps, it ignores `on_cast_clear` and passes every `oneref`.
+/// harnesses can swap it in wherever a
+/// [`sharc_checker::BitmapBackend`] or a [`BaselineBackend`] is
+/// expected.
 impl<D: Detector> CheckBackend for Online<D> {
     fn name(&self) -> &'static str {
         "online-baseline"
     }
 
     fn chkread(&mut self, tid: u32, granule: usize) -> Verdict {
-        self.checked_access(tid, granule, false)
+        self.read(tid, granule)
     }
 
     fn chkwrite(&mut self, tid: u32, granule: usize) -> Verdict {
-        self.checked_access(tid, granule, true)
+        self.write(tid, granule)
     }
 
+    /// Every shard saw every acquire and release, so any one answers.
     fn lock_held(&self, tid: u32, lock: usize) -> bool {
-        self.held
-            .lock()
-            .get(&tid)
-            .is_some_and(|h| h.contains(&lock))
+        self.shards[0].lock().lock_held(tid, lock)
     }
 
-    fn oneref(&mut self, _tid: u32, _granule: usize, _refs: u64) -> Verdict {
-        Verdict::Pass
+    fn oneref(&mut self, tid: u32, granule: usize, refs: u64) -> Verdict {
+        self.shard(granule).lock().oneref(tid, granule, refs)
     }
 
     fn on_acquire(&mut self, tid: u32, lock: usize) {
-        self.held.lock().entry(tid).or_default().push(lock);
-        self.sync(Event::Acquire { tid, lock });
+        self.broadcast(|b| b.on_acquire(tid, lock));
     }
 
     fn on_release(&mut self, tid: u32, lock: usize) {
-        if let Some(h) = self.held.lock().get_mut(&tid) {
-            if let Some(p) = h.iter().position(|&l| l == lock) {
-                h.remove(p);
-            }
-        }
-        self.sync(Event::Release { tid, lock });
+        self.broadcast(|b| b.on_release(tid, lock));
     }
 
     fn on_fork(&mut self, parent: u32, child: u32) {
-        self.sync(Event::Fork { tid: parent, child });
+        self.broadcast(|b| b.on_fork(parent, child));
     }
 
     fn on_join(&mut self, parent: u32, child: u32) {
-        self.sync(Event::Join { tid: parent, child });
+        self.broadcast(|b| b.on_join(parent, child));
     }
 
     fn on_thread_exit(&mut self, tid: u32) {
-        self.held.lock().remove(&tid);
+        self.broadcast(|b| b.on_thread_exit(tid));
     }
 
     fn on_alloc(&mut self, granule: usize) {
-        let _ = self
-            .shard(granule)
-            .lock()
-            .on_event(Event::Alloc { loc: granule });
+        self.shard(granule).lock().on_alloc(granule);
     }
 }
 
@@ -185,39 +128,44 @@ mod tests {
     #[test]
     fn online_eraser_finds_cross_thread_race() {
         let d: Arc<Online<Eraser>> = Arc::new(Online::new());
-        let a = Arc::clone(&d);
-        let h1 = std::thread::spawn(move || {
-            for i in 0..100 {
-                a.write(1, i % 4);
-            }
-        });
-        let b = Arc::clone(&d);
-        let h2 = std::thread::spawn(move || {
-            for i in 0..100 {
-                b.write(2, i % 4);
-            }
-        });
-        h1.join().unwrap();
-        h2.join().unwrap();
-        assert!(!d.races().is_empty());
+        let writers: Vec<_> = (1..=2u32)
+            .map(|t| {
+                let d = Arc::clone(&d);
+                std::thread::spawn(move || {
+                    (0..100).fold(0, |n, i| n + d.write(t, i % 4).is_conflict() as usize)
+                })
+            })
+            .collect();
+        let races: usize = writers.into_iter().map(|h| h.join().unwrap()).sum();
+        assert!(races > 0);
     }
 
     #[test]
     fn online_vc_clean_on_disjoint_locations() {
-        let d: Arc<Online<VcDetector>> = Arc::new(Online::new());
-        d.sync(Event::Fork { tid: 1, child: 2 });
-        let mut handles = Vec::new();
-        for t in 1..=2u32 {
-            let d = Arc::clone(&d);
-            handles.push(std::thread::spawn(move || {
-                for i in 0..100 {
-                    d.write(t, (t as usize) * 1000 + i);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert!(d.races().is_empty(), "{:?}", d.races());
+        let mut d: Online<VcDetector> = Online::new();
+        d.on_fork(1, 2);
+        let d = Arc::new(d);
+        let writers: Vec<_> = (1..=2u32)
+            .map(|t| {
+                let d = Arc::clone(&d);
+                std::thread::spawn(move || {
+                    (0..100)
+                        .filter(|&i| d.write(t, (t as usize) * 1000 + i).is_conflict())
+                        .count()
+                })
+            })
+            .collect();
+        let races: usize = writers.into_iter().map(|h| h.join().unwrap()).sum();
+        assert_eq!(races, 0);
+    }
+
+    #[test]
+    fn lock_events_reach_every_shard() {
+        let mut d: Online<Eraser> = Online::new();
+        d.on_acquire(1, 7);
+        assert!(d.lock_held(1, 7));
+        assert!(d.shards.iter_mut().all(|s| s.get_mut().lock_held(1, 7)));
+        d.on_release(1, 7);
+        assert!(!d.lock_held(1, 7));
     }
 }

@@ -9,7 +9,7 @@
 //! trip Eraser are accepted, at the price of heavier per-access
 //! metadata.
 
-use crate::trace::{Detector, Event, Loc, Lock, Race, Tid};
+use crate::Detector;
 use std::collections::HashMap;
 
 /// A vector clock: logical time per thread.
@@ -20,12 +20,12 @@ pub struct VectorClock {
 
 impl VectorClock {
     /// The clock value for thread `t`.
-    pub fn get(&self, t: Tid) -> u64 {
+    pub fn get(&self, t: u32) -> u64 {
         self.clocks.get(t as usize).copied().unwrap_or(0)
     }
 
     /// Sets thread `t`'s component.
-    pub fn set(&mut self, t: Tid, v: u64) {
+    pub fn set(&mut self, t: u32, v: u64) {
         let i = t as usize;
         if self.clocks.len() <= i {
             self.clocks.resize(i + 1, 0);
@@ -34,7 +34,7 @@ impl VectorClock {
     }
 
     /// Increments thread `t`'s component.
-    pub fn tick(&mut self, t: Tid) {
+    pub fn tick(&mut self, t: u32) {
         let v = self.get(t);
         self.set(t, v + 1);
     }
@@ -72,9 +72,9 @@ struct LocMeta {
 /// The happens-before detector.
 #[derive(Debug, Default)]
 pub struct VcDetector {
-    threads: HashMap<Tid, VectorClock>,
-    locks: HashMap<Lock, VectorClock>,
-    locs: HashMap<Loc, LocMeta>,
+    threads: HashMap<u32, VectorClock>,
+    locks: HashMap<usize, VectorClock>,
+    locs: HashMap<usize, LocMeta>,
 }
 
 impl VcDetector {
@@ -83,7 +83,7 @@ impl VcDetector {
         Self::default()
     }
 
-    fn thread(&mut self, t: Tid) -> &mut VectorClock {
+    fn thread(&mut self, t: u32) -> &mut VectorClock {
         self.threads.entry(t).or_insert_with(|| {
             let mut vc = VectorClock::default();
             vc.set(t, 1);
@@ -93,76 +93,60 @@ impl VcDetector {
 }
 
 impl Detector for VcDetector {
-    fn on_event(&mut self, e: Event) -> Option<Race> {
-        match e {
-            Event::Read { tid, loc } => {
-                let ct = self.thread(tid).clone();
-                let m = self.locs.entry(loc).or_default();
-                // A read races with any unordered write.
-                if !m.writes.le(&ct) && !m.reported {
-                    m.reported = true;
-                    return Some(Race {
-                        loc,
-                        tid,
-                        was_write: false,
-                    });
-                }
-                m.reads.set(tid, ct.get(tid));
-                None
-            }
-            Event::Write { tid, loc } => {
-                let ct = self.thread(tid).clone();
-                let m = self.locs.entry(loc).or_default();
-                if (!m.writes.le(&ct) || !m.reads.le(&ct)) && !m.reported {
-                    m.reported = true;
-                    return Some(Race {
-                        loc,
-                        tid,
-                        was_write: true,
-                    });
-                }
-                m.writes.set(tid, ct.get(tid));
-                None
-            }
-            Event::Acquire { tid, lock } => {
-                let lv = self.locks.entry(lock).or_default().clone();
-                self.thread(tid).join(&lv);
-                None
-            }
-            Event::Release { tid, lock } => {
-                let ct = self.thread(tid).clone();
-                self.locks.insert(lock, ct);
-                self.thread(tid).tick(tid);
-                None
-            }
-            Event::Fork { tid, child } => {
-                let ct = self.thread(tid).clone();
-                let cv = self.thread(child);
-                cv.join(&ct);
-                self.thread(tid).tick(tid);
-                None
-            }
-            Event::Join { tid, child } => {
-                let cv = self.thread(child).clone();
-                self.thread(tid).join(&cv);
-                None
-            }
-            Event::Alloc { loc } => {
-                self.locs.insert(loc, LocMeta::default());
-                None
-            }
-        }
-    }
-
     fn name(&self) -> &'static str {
         "vector-clock"
+    }
+
+    fn access(&mut self, tid: u32, granule: usize, is_write: bool) -> bool {
+        let ct = self.thread(tid).clone();
+        let m = self.locs.entry(granule).or_default();
+        // A read races with any unordered write; a write also with
+        // any unordered read.
+        let unordered = !m.writes.le(&ct) || (is_write && !m.reads.le(&ct));
+        if unordered && !m.reported {
+            m.reported = true;
+            return true;
+        }
+        if is_write {
+            m.writes.set(tid, ct.get(tid));
+        } else {
+            m.reads.set(tid, ct.get(tid));
+        }
+        false
+    }
+
+    fn acquire(&mut self, tid: u32, lock: usize) {
+        let lv = self.locks.entry(lock).or_default().clone();
+        self.thread(tid).join(&lv);
+    }
+
+    fn release(&mut self, tid: u32, lock: usize) {
+        let ct = self.thread(tid).clone();
+        self.locks.insert(lock, ct);
+        self.thread(tid).tick(tid);
+    }
+
+    fn fork(&mut self, parent: u32, child: u32) {
+        let ct = self.thread(parent).clone();
+        self.thread(child).join(&ct);
+        self.thread(parent).tick(parent);
+    }
+
+    fn join(&mut self, parent: u32, child: u32) {
+        let cv = self.thread(child).clone();
+        self.thread(parent).join(&cv);
+    }
+
+    fn alloc(&mut self, granule: usize) {
+        self.locs.insert(granule, LocMeta::default());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::fixtures;
+    use crate::fixtures::{self, run};
+    use sharc_checker::CheckEvent;
 
     #[test]
     fn vc_ordering_ops() {
@@ -180,19 +164,19 @@ mod tests {
 
     #[test]
     fn detects_unsynchronized_race() {
-        let races = VcDetector::new().run(&fixtures::unsynchronized_write_race());
+        let races = run(VcDetector::new(), &fixtures::unsynchronized_write_race());
         assert_eq!(races.len(), 1);
     }
 
     #[test]
     fn lock_protected_is_clean() {
-        let races = VcDetector::new().run(&fixtures::lock_protected());
+        let races = run(VcDetector::new(), &fixtures::lock_protected());
         assert!(races.is_empty(), "{races:?}");
     }
 
     #[test]
     fn init_then_read_sharing_is_clean() {
-        let races = VcDetector::new().run(&fixtures::init_then_share_readonly());
+        let races = run(VcDetector::new(), &fixtures::init_then_share_readonly());
         assert!(races.is_empty(), "{races:?}");
     }
 
@@ -200,7 +184,7 @@ mod tests {
     fn fork_join_handoff_is_clean() {
         // Unlike Eraser, happens-before tracks fork/join: no false
         // positive here.
-        let races = VcDetector::new().run(&fixtures::fork_join_handoff());
+        let races = run(VcDetector::new(), &fixtures::fork_join_handoff());
         assert!(races.is_empty(), "{races:?}");
     }
 
@@ -210,32 +194,34 @@ mod tests {
         // synchronization edge between the release and the acquire,
         // so even happens-before reports this hand-off; only SharC's
         // explicit ownership transfer (sharing cast) accepts it.
-        let races = VcDetector::new().run(&fixtures::lock_handoff_two_locks());
+        let races = run(VcDetector::new(), &fixtures::lock_handoff_two_locks());
         assert_eq!(races.len(), 1);
     }
 
     #[test]
     fn same_lock_handoff_is_clean() {
-        use crate::trace::Event;
         let trace = vec![
-            Event::Fork { tid: 1, child: 2 },
-            Event::Acquire { tid: 1, lock: 1 },
-            Event::Write { tid: 1, loc: 0 },
-            Event::Release { tid: 1, lock: 1 },
-            Event::Acquire { tid: 2, lock: 1 },
-            Event::Write { tid: 2, loc: 0 },
-            Event::Release { tid: 2, lock: 1 },
+            CheckEvent::Fork {
+                parent: 1,
+                child: 2,
+            },
+            CheckEvent::Acquire { tid: 1, lock: 1 },
+            CheckEvent::Write { tid: 1, granule: 0 },
+            CheckEvent::Release { tid: 1, lock: 1 },
+            CheckEvent::Acquire { tid: 2, lock: 1 },
+            CheckEvent::Write { tid: 2, granule: 0 },
+            CheckEvent::Release { tid: 2, lock: 1 },
         ];
-        let races = VcDetector::new().run(&trace);
+        let races = run(VcDetector::new(), &trace);
         assert!(races.is_empty(), "{races:?}");
     }
 
     #[test]
     fn alloc_resets() {
         let mut trace = fixtures::unsynchronized_write_race();
-        trace.push(Event::Alloc { loc: 0 });
-        trace.push(Event::Write { tid: 1, loc: 0 });
-        let races = VcDetector::new().run(&trace);
+        trace.push(CheckEvent::Alloc { granule: 0 });
+        trace.push(CheckEvent::Write { tid: 1, granule: 0 });
+        let races = run(VcDetector::new(), &trace);
         assert_eq!(races.len(), 1);
     }
 }

@@ -39,7 +39,7 @@ pub mod vm;
 pub use bytecode::{Addr, ElisionCounts, Module, Value};
 pub use compile::{compile as compile_module, compile_full_checks};
 pub use report::{ConflictKind, ConflictReport};
-pub use vm::{run, ExitStatus, RunOutcome, SchedPolicy, TraceEvent, VmConfig, VmStats};
+pub use vm::{run, ExitStatus, RunOutcome, SchedPolicy, VmConfig, VmStats};
 
 /// Compiles and runs MiniC source in one call.
 ///

@@ -19,7 +19,7 @@ use crate::report::{ConflictKind, ConflictReport, Reporter};
 use minic::ast::BinOp;
 use minic::span::SourceMap;
 use sharc_checker::step::{bitmap, Access, Transition};
-use sharc_checker::{EpochTable, OwnedCache};
+use sharc_checker::{CheckEvent, EpochTable, OwnedCache};
 use sharc_testkit::rng::{Rng, Xoshiro256pp};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -38,58 +38,6 @@ const _: () = assert!(MAX_THREADS == 63);
 /// at the 16-byte granule) before indices wrap — conservative past
 /// that, never unsound.
 const VM_GRANULES_PER_REGION: usize = 8;
-
-/// One memory/synchronization event of an execution, for feeding
-/// trace-based race detectors (cross-validation against the §6.2
-/// baselines). Collected only when [`VmConfig::collect_trace`] is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    Read {
-        tid: u8,
-        addr: u32,
-    },
-    Write {
-        tid: u8,
-        addr: u32,
-    },
-    Acquire {
-        tid: u8,
-        lock: u32,
-    },
-    Release {
-        tid: u8,
-        lock: u32,
-    },
-    Fork {
-        tid: u8,
-        child: u8,
-    },
-    Join {
-        tid: u8,
-        child: u8,
-    },
-    Alloc {
-        addr: u32,
-        size: u32,
-    },
-    /// A successful or failed `SCAST` over `[addr, addr + size)`;
-    /// `refs` is the reference count `oneref` observed.
-    SharingCast {
-        tid: u8,
-        addr: u32,
-        size: u32,
-        refs: u32,
-    },
-    /// The thread ended; its shadow bits were cleared.
-    ThreadExit {
-        tid: u8,
-    },
-    /// `free(addr)`; shadow state for the region was reset.
-    Free {
-        addr: u32,
-        size: u32,
-    },
-}
 
 /// Scheduling policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,7 +63,8 @@ pub struct VmConfig {
     pub granule: u32,
     /// Halt the whole VM at the first failed check.
     pub stop_on_error: bool,
-    /// Record every memory/sync event (for trace-based detectors).
+    /// Record every memory/sync event as a [`CheckEvent`] trace (for
+    /// replay by any engine, the §6.2 baselines included).
     pub collect_trace: bool,
     /// Per-thread owned-granule cache mirroring the native runtime's
     /// [`OwnedCache`]: repeated private accesses skip the shadow
@@ -213,8 +162,9 @@ pub struct RunOutcome {
     pub reports: Vec<ConflictReport>,
     pub output: Vec<String>,
     pub stats: VmStats,
-    /// The event trace, when [`VmConfig::collect_trace`] was set.
-    pub trace: Vec<TraceEvent>,
+    /// The event trace, when [`VmConfig::collect_trace`] was set, in
+    /// granules of [`VmConfig::granule`] cells.
+    pub trace: Vec<CheckEvent>,
     /// On deadlock: one line per stuck thread describing what it is
     /// waiting for.
     pub blocked: Vec<String>,
@@ -349,7 +299,7 @@ struct Vm<'m> {
     stats: VmStats,
     current: usize,
     quantum_left: u32,
-    trace: Vec<TraceEvent>,
+    trace: Vec<CheckEvent>,
     blocked: Vec<String>,
 }
 
@@ -824,7 +774,7 @@ impl<'m> Vm<'m> {
                 *w = bitmap::clear_thread(*w, tid as u32);
             }
         }
-        self.emit(TraceEvent::ThreadExit { tid });
+        self.emit(|_| CheckEvent::ThreadExit { tid: tid as u32 });
         self.threads[idx].status = if failed { Status::Failed } else { Status::Done };
         self.free_tids.push(tid);
         // Wake joiners.
@@ -959,9 +909,14 @@ impl<'m> Vm<'m> {
         }
     }
 
+    /// Records the event `make` builds when
+    /// [`VmConfig::collect_trace`] is on. `make` receives the granule
+    /// size in cells and runs only then, so an untraced run never
+    /// pays for building the event.
     #[inline]
-    fn emit(&mut self, e: TraceEvent) {
+    fn emit(&mut self, make: impl FnOnce(u32) -> CheckEvent) {
         if self.config.collect_trace {
+            let e = make(self.config.granule);
             self.trace.push(e);
         }
     }
@@ -1065,7 +1020,10 @@ impl<'m> Vm<'m> {
                     return Err("load out of bounds".into());
                 }
                 self.stats.total_accesses += 1;
-                self.emit(TraceEvent::Read { tid, addr: a.0 });
+                self.emit(|gran| CheckEvent::Read {
+                    tid: tid as u32,
+                    granule: (a.0 / gran) as usize,
+                });
                 let v = self.mem[a.0 as usize];
                 self.push(v);
             }
@@ -1076,7 +1034,10 @@ impl<'m> Vm<'m> {
                     return Err("store out of bounds".into());
                 }
                 self.stats.total_accesses += 1;
-                self.emit(TraceEvent::Write { tid, addr: a.0 });
+                self.emit(|gran| CheckEvent::Write {
+                    tid: tid as u32,
+                    granule: (a.0 / gran) as usize,
+                });
                 self.write_cell(a.0, v);
             }
             Insn::CopyN(n) => {
@@ -1091,13 +1052,13 @@ impl<'m> Vm<'m> {
                     // detectors cell by cell (ranges are a checker
                     // optimization, not a semantic change), exactly
                     // like the Load/Store pair it replaces.
-                    self.emit(TraceEvent::Read {
-                        tid,
-                        addr: src.0 + i,
+                    self.emit(|gran| CheckEvent::Read {
+                        tid: tid as u32,
+                        granule: ((src.0 + i) / gran) as usize,
                     });
-                    self.emit(TraceEvent::Write {
-                        tid,
-                        addr: dst.0 + i,
+                    self.emit(|gran| CheckEvent::Write {
+                        tid: tid as u32,
+                        granule: ((dst.0 + i) / gran) as usize,
                     });
                     let v = self.mem[(src.0 + i) as usize];
                     self.write_cell(dst.0 + i, v);
@@ -1180,7 +1141,10 @@ impl<'m> Vm<'m> {
                 };
                 match self.spawn_thread(fi, arg) {
                     Some(t) => {
-                        self.emit(TraceEvent::Fork { tid, child: t });
+                        self.emit(|_| CheckEvent::Fork {
+                            parent: tid as u32,
+                            child: t as u32,
+                        });
                         self.push(Value::Int(t as i64));
                     }
                     None => return Err(format!("thread limit ({MAX_THREADS}) exceeded")),
@@ -1188,7 +1152,10 @@ impl<'m> Vm<'m> {
             }
             Insn::Join => {
                 let t = self.pop().as_int() as u8;
-                self.emit(TraceEvent::Join { tid, child: t });
+                self.emit(|_| CheckEvent::Join {
+                    parent: tid as u32,
+                    child: t as u32,
+                });
                 let done = self
                     .threads
                     .iter()
@@ -1214,7 +1181,10 @@ impl<'m> Vm<'m> {
                     None => {
                         m.owner = Some(tid);
                         self.threads[self.current].held_locks.push(a);
-                        self.emit(TraceEvent::Acquire { tid, lock: a.0 });
+                        self.emit(|_| CheckEvent::Acquire {
+                            tid: tid as u32,
+                            lock: a.0 as usize,
+                        });
                     }
                     Some(o) if o == tid => {
                         return Err("recursive lock of a non-recursive mutex".into())
@@ -1227,7 +1197,10 @@ impl<'m> Vm<'m> {
             }
             Insn::MutexUnlock => {
                 let a = self.pop_addr("mutex_unlock")?;
-                self.emit(TraceEvent::Release { tid, lock: a.0 });
+                self.emit(|_| CheckEvent::Release {
+                    tid: tid as u32,
+                    lock: a.0 as usize,
+                });
                 self.unlock(a, tid)?;
             }
             Insn::CondWait => {
@@ -1237,7 +1210,10 @@ impl<'m> Vm<'m> {
                 if !holds {
                     return Err("cond_wait without holding the mutex".into());
                 }
-                self.emit(TraceEvent::Release { tid, lock: ma.0 });
+                self.emit(|_| CheckEvent::Release {
+                    tid: tid as u32,
+                    lock: ma.0 as usize,
+                });
                 self.unlock(ma, tid)?;
                 self.cond_waiters.entry(ca).or_default().push_back(tid);
                 self.threads[self.current].status = Status::Waiting(ca, ma);
@@ -1266,7 +1242,11 @@ impl<'m> Vm<'m> {
             }
             Insn::New(size) => {
                 let b = self.alloc_raw(size);
-                self.emit(TraceEvent::Alloc { addr: b, size });
+                if self.config.collect_trace {
+                    let (g0, len) = granule_span(b, size, self.config.granule);
+                    self.trace
+                        .extend((g0..g0 + len).map(|granule| CheckEvent::Alloc { granule }));
+                }
                 self.push(Value::Ptr(Addr(b)));
             }
             Insn::NewArray(esize) => {
@@ -1288,9 +1268,10 @@ impl<'m> Vm<'m> {
                     return Err("free of interior pointer".into());
                 }
                 self.kill_obj_entry(o - 1);
-                self.emit(TraceEvent::Free {
-                    addr: obj.base,
-                    size: obj.size,
+                // One ranged free for the whole block.
+                self.emit(|gran| {
+                    let (granule, len) = granule_span(obj.base, obj.size, gran);
+                    CheckEvent::RangeFree { granule, len }
                 });
                 self.release_region(obj.base, obj.size);
                 self.stats.frees += 1;
@@ -1379,11 +1360,16 @@ impl<'m> Vm<'m> {
                         if o != 0 {
                             let count = self.rc[(o - 1) as usize];
                             let obj = self.objs[(o - 1) as usize];
-                            self.emit(TraceEvent::SharingCast {
-                                tid,
-                                addr: obj.base,
-                                size: obj.size,
-                                refs: (count + 1) as u32,
+                            // One ranged cast: the whole referent hands
+                            // off as one operation, as the VM performs it.
+                            self.emit(|gran| {
+                                let (granule, len) = granule_span(obj.base, obj.size, gran);
+                                CheckEvent::RangeCast {
+                                    tid: tid as u32,
+                                    granule,
+                                    len,
+                                    refs: (count + 1) as u64,
+                                }
                             });
                             if count > 0 {
                                 self.reporter.oneref_violation(a, tid, site, count + 1);
@@ -1444,7 +1430,10 @@ impl<'m> Vm<'m> {
             if let Some(wi) = self.threads.iter().position(|t| t.id == w) {
                 self.threads[wi].status = Status::Runnable;
                 self.threads[wi].held_locks.push(a);
-                self.emit(TraceEvent::Acquire { tid: w, lock: a.0 });
+                self.emit(|_| CheckEvent::Acquire {
+                    tid: w as u32,
+                    lock: a.0 as usize,
+                });
             }
         } else {
             m.owner = None;
@@ -1466,7 +1455,10 @@ impl<'m> Vm<'m> {
                 m.owner = Some(w);
                 self.threads[wi].status = Status::Runnable;
                 self.threads[wi].held_locks.push(ma);
-                self.emit(TraceEvent::Acquire { tid: w, lock: ma.0 });
+                self.emit(|_| CheckEvent::Acquire {
+                    tid: w as u32,
+                    lock: ma.0 as usize,
+                });
             }
             Some(_) => {
                 m.waiters.push_back(w);
@@ -1474,6 +1466,15 @@ impl<'m> Vm<'m> {
             }
         }
     }
+}
+
+/// The granules `[addr, addr + size)` covers at `gran` cells per
+/// granule, as `(first, count)`; an empty block still covers the
+/// granule of `addr`.
+fn granule_span(addr: u32, size: u32, gran: u32) -> (usize, usize) {
+    let g0 = addr / gran;
+    let g1 = (addr + size.max(1) - 1) / gran;
+    (g0 as usize, (g1 - g0 + 1) as usize)
 }
 
 fn eval_binop(op: BinOp, a: Value, b: Value) -> Result<Value, String> {

@@ -36,7 +36,6 @@ pub mod arena;
 pub mod events;
 pub mod locks;
 pub mod rc;
-pub mod scalable;
 pub mod scast;
 pub mod shadow;
 pub mod sharded;
@@ -46,10 +45,9 @@ pub use arena::{AccessPolicy, Arena, CachedChecked, Checked, Unchecked, GRANULE_
 pub use events::{recording_tid, EventLog, EventSink, StreamStats, StreamingSink};
 pub use locks::{LockId, LockNotHeld, LockRegistry, ThreadCtx};
 pub use rc::{LpRc, NaiveRc, ObjId, RcScheme};
-pub use scalable::{ScalableShadow, WideThreadId};
 pub use scast::{sharing_cast, ScastError};
 pub use shadow::{RaceError, Shadow, ShadowWord, ThreadId};
-pub use sharded::{ShardedShadow, MAX_WORDS_PER_GRANULE};
+pub use sharded::{ShardedShadow, WideThreadId, MAX_WORDS_PER_GRANULE};
 pub use wide::{
     WideArena, WideChecked, WideLockNotHeld, WideLockRegistry, WidePolicy, WideThreadCtx,
     WideUnchecked,

@@ -52,7 +52,10 @@ use sharc_checker::step::{
 use sharc_checker::{EpochTable, OwnedCache, ShadowGeometry};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-pub use crate::scalable::WideThreadId;
+/// A thread id for the sharded shadow and the wide arena (1-based,
+/// up to 2³⁰ − 1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct WideThreadId(pub u32);
 
 /// Upper bound on words per granule the stack-allocated snapshot
 /// supports: 15 shards + overflow = exact identities for 945
@@ -857,5 +860,153 @@ mod tests {
         assert_eq!(narrow.shadow_bytes(), 4 * 2 * 8, "1 shard + overflow");
         assert_eq!(wide.shadow_bytes(), 4 * 6 * 8, "5 shards + overflow");
         assert_eq!(wide.len(), 4);
+    }
+
+    /// The adaptive-only geometry ([`ShadowGeometry::adaptive_only`]):
+    /// one word per granule encoding EMPTY / EXCL(tid) / READ1(tid) /
+    /// SHARED_READ, the scalable encoding §4.2.1 and §7 name as
+    /// future work. Sound for any thread count; exact while a granule
+    /// has at most one concurrent reader.
+    mod adaptive {
+        use super::*;
+
+        fn adaptive(n: usize) -> ShardedShadow {
+            ShardedShadow::with_geometry(n, ShadowGeometry::adaptive_only())
+        }
+
+        #[test]
+        fn single_thread_lifecycle() {
+            let s = adaptive(2);
+            let t = WideThreadId(1);
+            assert_eq!(s.check_read(0, t), Ok(true));
+            assert_eq!(s.check_read(0, t), Ok(false));
+            assert!(s.check_write(0, t).is_ok());
+            assert!(s.check_read(0, t).is_ok());
+            assert!(s.check_write(0, t).is_ok());
+        }
+
+        #[test]
+        fn supports_huge_thread_ids() {
+            // The bitmap tops out at 63 threads; this encoding takes ids
+            // up to 2^30 - 1 at the same 8 bytes per granule.
+            let s = adaptive(1);
+            assert!(s.check_read(0, WideThreadId(1_000_000)).is_ok());
+            assert!(s.check_write(0, WideThreadId(1_000_000)).is_ok());
+            assert!(s.check_write(0, WideThreadId(999_999)).is_err());
+        }
+
+        #[test]
+        fn many_readers_then_writer_conflicts() {
+            let s = adaptive(1);
+            for t in 1..=100u32 {
+                assert!(s.check_read(0, WideThreadId(t)).is_ok(), "reader {t}");
+            }
+            assert!(s.check_write(0, WideThreadId(1)).is_err());
+        }
+
+        #[test]
+        fn writer_excludes_everyone() {
+            let s = adaptive(1);
+            s.check_write(0, WideThreadId(7)).unwrap();
+            assert!(s.check_read(0, WideThreadId(8)).is_err());
+            assert!(s.check_write(0, WideThreadId(8)).is_err());
+            assert!(s.check_read(0, WideThreadId(7)).is_ok());
+        }
+
+        #[test]
+        fn exclusive_exit_clears() {
+            let s = adaptive(1);
+            s.check_write(0, WideThreadId(3)).unwrap();
+            s.clear_thread(0, WideThreadId(3));
+            assert!(s.check_write(0, WideThreadId(4)).is_ok());
+        }
+
+        #[test]
+        fn shared_read_exit_is_conservative() {
+            // Documented imprecision: after read-sharing, exits cannot be
+            // subtracted, so the next writer conflicts until a reset.
+            let s = adaptive(1);
+            s.check_read(0, WideThreadId(1)).unwrap();
+            s.check_read(0, WideThreadId(2)).unwrap();
+            s.clear_thread(0, WideThreadId(1));
+            s.clear_thread(0, WideThreadId(2));
+            assert!(
+                s.check_write(0, WideThreadId(3)).is_err(),
+                "sound but imprecise"
+            );
+            s.clear(0);
+            assert!(s.check_write(0, WideThreadId(3)).is_ok());
+        }
+
+        #[test]
+        fn single_reader_upgrade_to_writer() {
+            let s = adaptive(1);
+            s.check_read(0, WideThreadId(5)).unwrap();
+            assert!(s.check_write(0, WideThreadId(5)).is_ok(), "own upgrade");
+        }
+
+        #[test]
+        fn concurrent_disjoint_writers_clean() {
+            let s = Arc::new(adaptive(64));
+            let mut handles = Vec::new();
+            for t in 1..=8u32 {
+                let s = Arc::clone(&s);
+                handles.push(std::thread::spawn(move || {
+                    for rep in 0..200 {
+                        let g = (t as usize - 1) * 8 + rep % 8;
+                        s.check_write(g, WideThreadId(t)).unwrap();
+                    }
+                }));
+            }
+            for h in handles {
+                h.join().unwrap();
+            }
+        }
+
+        #[test]
+        fn concurrent_same_granule_writers_conflict() {
+            let s = Arc::new(adaptive(1));
+            let mut handles = Vec::new();
+            for t in 1..=4u32 {
+                let s = Arc::clone(&s);
+                handles.push(std::thread::spawn(move || {
+                    (0..100)
+                        .filter(|_| s.check_write(0, WideThreadId(t)).is_err())
+                        .count()
+                }));
+            }
+            let conflicts: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+            assert!(conflicts > 0);
+        }
+
+        #[test]
+        fn ranged_sweep_matches_per_granule_and_caches_the_run() {
+            let s = adaptive(16);
+            let t = WideThreadId(70_000);
+            // Foreign owner in the middle of the run.
+            s.check_write(7, WideThreadId(3)).unwrap();
+            let mut newly = Vec::new();
+            let mut bad = Vec::new();
+            let n = s.check_range_write(0, 16, t, |g| newly.push(g), |e| bad.push(e.granule));
+            assert_eq!(n, 1);
+            assert_eq!(bad, vec![7]);
+            assert_eq!(newly.len(), 15, "every clean granule newly installed");
+            // Clear the intruder; the cached sweep now fills and then
+            // hits the run summary on repeats.
+            s.clear(7);
+            let mut c = OwnedCache::<2>::new();
+            assert_eq!(
+                s.check_range_write_cached(0, 16, t, &mut c, |_| {}, |_| panic!("clean")),
+                0
+            );
+            let misses = c.misses;
+            for _ in 0..5 {
+                assert_eq!(
+                    s.check_range_write_cached(0, 16, t, &mut c, |_| panic!(), |_| panic!()),
+                    0
+                );
+            }
+            assert_eq!(c.misses, misses, "repeat sweeps are one stamp compare");
+        }
     }
 }

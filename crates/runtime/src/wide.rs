@@ -17,8 +17,8 @@
 
 use crate::events::EventSink;
 use crate::locks::LockId;
-use crate::scalable::WideThreadId;
 use crate::sharded::ShardedShadow;
+use crate::sharded::WideThreadId;
 use sharc_checker::{OwnedCache, ShadowGeometry};
 use sharc_testkit::sync::RawMutex;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -12,7 +12,8 @@
 //! ```
 
 use sharc::prelude::*;
-use sharc_detectors::{Detector, Eraser, Event, VcDetector};
+use sharc_checker::{replay, CheckEvent as E};
+use sharc_detectors::{BaselineBackend, Eraser, VcDetector};
 
 fn sharc_reports(src: &str) -> usize {
     let out = sharc::check_and_run("hunt.c", src, RunConfig::default())
@@ -27,9 +28,12 @@ fn main() {
         void main() { int * p; p = new(int);
             spawn(worker, p); spawn(worker, p); join_all(); }";
     let racy_trace = vec![
-        Event::Fork { tid: 1, child: 2 },
-        Event::Write { tid: 1, loc: 0 },
-        Event::Write { tid: 2, loc: 0 },
+        E::Fork {
+            parent: 1,
+            child: 2,
+        },
+        E::Write { tid: 1, granule: 0 },
+        E::Write { tid: 2, granule: 0 },
     ];
 
     // --- Idiom 2: lock-protected sharing -----------------------------
@@ -40,13 +44,16 @@ fn main() {
         void main() { struct c * x = new(struct c);
             spawn(worker, x); spawn(worker, x); join_all(); }";
     let locked_trace = vec![
-        Event::Fork { tid: 1, child: 2 },
-        Event::Acquire { tid: 1, lock: 9 },
-        Event::Write { tid: 1, loc: 0 },
-        Event::Release { tid: 1, lock: 9 },
-        Event::Acquire { tid: 2, lock: 9 },
-        Event::Write { tid: 2, loc: 0 },
-        Event::Release { tid: 2, lock: 9 },
+        E::Fork {
+            parent: 1,
+            child: 2,
+        },
+        E::Acquire { tid: 1, lock: 9 },
+        E::Write { tid: 1, granule: 0 },
+        E::Release { tid: 1, lock: 9 },
+        E::Acquire { tid: 2, lock: 9 },
+        E::Write { tid: 2, granule: 0 },
+        E::Release { tid: 2, lock: 9 },
     ];
 
     // --- Idiom 3: ownership hand-off ---------------------------------
@@ -71,18 +78,21 @@ fn main() {
                 mutex_unlock(&c->m); }
             join_all(); }";
     let handoff_trace = vec![
-        Event::Fork { tid: 1, child: 2 },
+        E::Fork {
+            parent: 1,
+            child: 2,
+        },
         // Producer writes under its lock, hands off, consumer uses its
         // own lock: no common lock, no happens-before edge chain.
-        Event::Acquire { tid: 1, lock: 1 },
-        Event::Write { tid: 1, loc: 0 },
-        Event::Release { tid: 1, lock: 1 },
-        Event::Acquire { tid: 2, lock: 2 },
-        Event::Write { tid: 2, loc: 0 },
-        Event::Release { tid: 2, lock: 2 },
-        Event::Acquire { tid: 1, lock: 1 },
-        Event::Write { tid: 1, loc: 0 },
-        Event::Release { tid: 1, lock: 1 },
+        E::Acquire { tid: 1, lock: 1 },
+        E::Write { tid: 1, granule: 0 },
+        E::Release { tid: 1, lock: 1 },
+        E::Acquire { tid: 2, lock: 2 },
+        E::Write { tid: 2, granule: 0 },
+        E::Release { tid: 2, lock: 2 },
+        E::Acquire { tid: 1, lock: 1 },
+        E::Write { tid: 1, granule: 0 },
+        E::Release { tid: 1, lock: 1 },
     ];
 
     println!(
@@ -95,8 +105,8 @@ fn main() {
         ("ownership hand-off", &handoff_trace, handoff_minic, false),
     ];
     for (name, trace, minic_src, is_real_race) in rows {
-        let eraser = Eraser::new().run(trace).len();
-        let vc = VcDetector::new().run(trace).len();
+        let eraser = replay(trace, &mut BaselineBackend::new(Eraser::new())).len();
+        let vc = replay(trace, &mut BaselineBackend::new(VcDetector::new())).len();
         let sharc = sharc_reports(minic_src);
         println!("{name:<24} {eraser:>8} {vc:>8} {sharc:>14}");
         if !is_real_race {

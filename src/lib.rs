@@ -87,15 +87,7 @@ pub fn check(name: &str, src: &str) -> Result<CheckedProgram, minic::Diagnostic>
 /// cannot execute (e.g. struct-by-value parameters) or if `checked`
 /// still has hard errors.
 pub fn run(checked: &CheckedProgram, config: RunConfig) -> Result<RunOutcome, minic::Diagnostic> {
-    if checked.diags.has_errors() {
-        let first = checked
-            .diags
-            .iter()
-            .find(|d| d.severity == minic::Severity::Error)
-            .expect("has_errors implies an error")
-            .clone();
-        return Err(first);
-    }
+    reject_errors(checked)?;
     let module = sharc_interp::compile::compile(checked)?;
     Ok(sharc_interp::run(&module, &checked.source_map, config))
 }
@@ -112,17 +104,22 @@ pub fn run_full_checks(
     checked: &CheckedProgram,
     config: RunConfig,
 ) -> Result<RunOutcome, minic::Diagnostic> {
-    if checked.diags.has_errors() {
-        let first = checked
-            .diags
-            .iter()
-            .find(|d| d.severity == minic::Severity::Error)
-            .expect("has_errors implies an error")
-            .clone();
-        return Err(first);
-    }
+    reject_errors(checked)?;
     let module = sharc_interp::compile_full_checks(checked)?;
     Ok(sharc_interp::run(&module, &checked.source_map, config))
+}
+
+/// The first hard error in `checked`'s diagnostics, if any: a program
+/// with sharing-mode errors does not run.
+fn reject_errors(checked: &CheckedProgram) -> Result<(), minic::Diagnostic> {
+    match checked
+        .diags
+        .iter()
+        .find(|d| d.severity == minic::Severity::Error)
+    {
+        Some(first) => Err(first.clone()),
+        None => Ok(()),
+    }
 }
 
 /// Renders the elision pass's verdict for `checked`, one line per
@@ -175,78 +172,27 @@ impl std::str::FromStr for DetectorKind {
     }
 }
 
-/// Converts a VM trace into the unified [`checker::CheckEvent`]
-/// vocabulary: addresses become granules
-/// ([`sharc_checker::GRANULE_CELLS`] cells each), frees become ONE
-/// [`checker::CheckEvent::RangeFree`] per block, sharing casts become
-/// ONE [`checker::CheckEvent::RangeCast`] per referent — the
-/// one-operation block hand-off, never an O(granules) expansion.
-pub fn trace_to_check_events(trace: &[interp::TraceEvent]) -> Vec<checker::CheckEvent> {
-    use checker::CheckEvent as E;
-    use interp::TraceEvent as T;
-    let gran = sharc_checker::GRANULE_CELLS;
-    let granule = |addr: u32| (addr / gran) as usize;
-    let mut out = Vec::with_capacity(trace.len());
-    for &e in trace {
-        match e {
-            T::Read { tid, addr } => out.push(E::Read {
-                tid: tid as u32,
-                granule: granule(addr),
-            }),
-            T::Write { tid, addr } => out.push(E::Write {
-                tid: tid as u32,
-                granule: granule(addr),
-            }),
-            T::Acquire { tid, lock } => out.push(E::Acquire {
-                tid: tid as u32,
-                lock: lock as usize,
-            }),
-            T::Release { tid, lock } => out.push(E::Release {
-                tid: tid as u32,
-                lock: lock as usize,
-            }),
-            T::Fork { tid, child } => out.push(E::Fork {
-                parent: tid as u32,
-                child: child as u32,
-            }),
-            T::Join { tid, child } => out.push(E::Join {
-                parent: tid as u32,
-                child: child as u32,
-            }),
-            T::ThreadExit { tid } => out.push(E::ThreadExit { tid: tid as u32 }),
-            T::Alloc { addr, size } => {
-                for g in granule(addr)..=granule(addr + size.max(1) - 1) {
-                    out.push(E::Alloc { granule: g });
-                }
-            }
-            T::Free { addr, size } => {
-                // A ranged free: ONE event for the whole block, not
-                // one granule reset per covered granule.
-                let g0 = granule(addr);
-                out.push(E::RangeFree {
-                    granule: g0,
-                    len: granule(addr + size.max(1) - 1) - g0 + 1,
-                });
-            }
-            T::SharingCast {
-                tid,
-                addr,
-                size,
-                refs,
-            } => {
-                // A ranged cast: the whole referent hands off as one
-                // operation, exactly as the VM performs it.
-                let g0 = granule(addr);
-                out.push(E::RangeCast {
-                    tid: tid as u32,
-                    granule: g0,
-                    len: granule(addr + size.max(1) - 1) - g0 + 1,
-                    refs: refs as u64,
-                });
-            }
-        }
+/// The one constructor from a [`DetectorKind`] to its engine and
+/// that engine's name in reports: SharC's exact bitmap sized to
+/// `geom`, or a baseline behind [`detectors::BaselineBackend`] (which
+/// ignores `geom`).
+fn backend(
+    kind: DetectorKind,
+    geom: checker::ShadowGeometry,
+) -> (&'static str, Box<dyn checker::CheckBackend + Send>) {
+    fn baseline<D: detectors::Detector + Send + 'static>(
+        d: D,
+    ) -> (&'static str, Box<dyn checker::CheckBackend + Send>) {
+        (d.name(), Box::new(detectors::BaselineBackend::new(d)))
     }
-    out
+    match kind {
+        DetectorKind::Sharc => (
+            "sharc",
+            Box::new(checker::BitmapBackend::with_geometry(geom)),
+        ),
+        DetectorKind::Eraser => baseline(detectors::Eraser::new()),
+        DetectorKind::Vc => baseline(detectors::VcDetector::new()),
+    }
 }
 
 /// A run judged by a selected detector.
@@ -263,9 +209,9 @@ pub struct DetectorRun {
 }
 
 /// Runs `checked` once and judges the execution with `kind`: SharC's
-/// own checks run inside the VM; the baselines replay the recorded
-/// trace of the *same* execution through the [`checker::CheckBackend`]
-/// adapters.
+/// own checks run inside the VM; the baselines judge the VM's
+/// recorded [`checker::CheckEvent`] trace of the *same* execution
+/// with [`judge_trace`].
 ///
 /// # Errors
 ///
@@ -275,10 +221,10 @@ pub fn run_with_detector(
     mut config: RunConfig,
     kind: DetectorKind,
 ) -> Result<DetectorRun, minic::Diagnostic> {
-    use sharc_checker::CheckBackend as _;
     if kind != DetectorKind::Sharc {
         config.collect_trace = true;
     }
+    let granule = config.granule;
     let outcome = run(checked, config)?;
     let (detector, conflicts) = match kind {
         DetectorKind::Sharc => {
@@ -293,23 +239,12 @@ pub fn run_with_detector(
                         interp::ConflictKind::OneRef => checker::CheckKind::OneRef,
                     },
                     tid: r.who.tid as u32,
-                    granule: (r.addr.0 / sharc_checker::GRANULE_CELLS) as usize,
+                    granule: (r.addr.0 / granule) as usize,
                 })
                 .collect();
             ("sharc", conflicts)
         }
-        DetectorKind::Eraser => {
-            let events = trace_to_check_events(&outcome.trace);
-            let mut backend = detectors::BaselineBackend::new(detectors::Eraser::new());
-            let raw = checker::replay(&events, &mut backend);
-            (backend.name(), dedup_conflicts(raw))
-        }
-        DetectorKind::Vc => {
-            let events = trace_to_check_events(&outcome.trace);
-            let mut backend = detectors::BaselineBackend::new(detectors::VcDetector::new());
-            let raw = checker::replay(&events, &mut backend);
-            (backend.name(), dedup_conflicts(raw))
-        }
+        DetectorKind::Eraser | DetectorKind::Vc => judge_trace(&outcome.trace, kind),
     };
     Ok(DetectorRun {
         outcome,
@@ -499,28 +434,21 @@ pub fn judge_trace(
     trace: &[checker::CheckEvent],
     kind: DetectorKind,
 ) -> (&'static str, Vec<checker::Conflict>) {
-    use sharc_checker::CheckBackend as _;
-    match kind {
-        DetectorKind::Sharc => {
-            // Size the exact shadow to the widest tid the trace
-            // names: a 300-thread stunnel run replays on a 5-shard
-            // geometry, while narrow traces keep the 1-shard default.
-            let mut backend =
-                checker::BitmapBackend::with_geometry(checker::geometry_for_trace(trace));
-            let raw = checker::replay(trace, &mut backend);
-            ("sharc", dedup_conflicts(raw))
-        }
-        DetectorKind::Eraser => {
-            let mut backend = detectors::BaselineBackend::new(detectors::Eraser::new());
-            let raw = checker::replay(trace, &mut backend);
-            (backend.name(), dedup_conflicts(raw))
-        }
-        DetectorKind::Vc => {
-            let mut backend = detectors::BaselineBackend::new(detectors::VcDetector::new());
-            let raw = checker::replay(trace, &mut backend);
-            (backend.name(), dedup_conflicts(raw))
-        }
+    // Size the exact shadow to the widest tid the trace names: a
+    // 300-thread stunnel run replays on a 5-shard geometry, while
+    // narrow traces keep the 1-shard default.
+    let geom = checker::geometry_for_trace(trace);
+    if kind == DetectorKind::Sharc {
+        // A concrete engine, so `replay` is monomorphised with the
+        // bitmap checks inlined.
+        let raw = checker::replay(trace, &mut checker::BitmapBackend::with_geometry(geom));
+        return ("sharc", dedup_conflicts(raw));
     }
+    let (name, mut engine) = backend(kind, geom);
+    (
+        name,
+        dedup_conflicts(checker::replay(trace, engine.as_mut())),
+    )
 }
 
 /// [`judge_trace`], replayed by [`checker::ParallelReplay`] over
@@ -533,34 +461,13 @@ pub fn judge_trace_jobs(
     kind: DetectorKind,
     jobs: usize,
 ) -> (&'static str, Vec<checker::Conflict>) {
-    use sharc_checker::CheckBackend as _;
     if jobs <= 1 {
         return judge_trace(trace, kind);
     }
-    let engine = checker::ParallelReplay::new(jobs);
-    match kind {
-        DetectorKind::Sharc => {
-            let geom = checker::geometry_for_trace(trace);
-            let raw = engine.replay(trace, move || {
-                Box::new(checker::BitmapBackend::with_geometry(geom)) as _
-            });
-            ("sharc", dedup_conflicts(raw))
-        }
-        DetectorKind::Eraser => {
-            let name = detectors::BaselineBackend::new(detectors::Eraser::new()).name();
-            let raw = engine.replay(trace, || {
-                Box::new(detectors::BaselineBackend::new(detectors::Eraser::new())) as _
-            });
-            (name, dedup_conflicts(raw))
-        }
-        DetectorKind::Vc => {
-            let name = detectors::BaselineBackend::new(detectors::VcDetector::new()).name();
-            let raw = engine.replay(trace, || {
-                Box::new(detectors::BaselineBackend::new(detectors::VcDetector::new())) as _
-            });
-            (name, dedup_conflicts(raw))
-        }
-    }
+    let geom = checker::geometry_for_trace(trace);
+    let (name, _) = backend(kind, geom);
+    let raw = checker::ParallelReplay::new(jobs).replay(trace, || backend(kind, geom).1);
+    (name, dedup_conflicts(raw))
 }
 
 /// Writes a trace file: the binary v4 format of [`checker::btrace`]
@@ -714,24 +621,8 @@ pub fn run_native_streaming(
     kind: DetectorKind,
     ring_cap: usize,
 ) -> StreamingRun {
-    use sharc_checker::CheckBackend as _;
     let bound = native_tid_bound(workload);
-    let (detector, backend): (&'static str, Box<dyn checker::CheckBackend + Send>) = match kind {
-        DetectorKind::Sharc => (
-            "sharc",
-            Box::new(checker::BitmapBackend::with_geometry(
-                checker::ShadowGeometry::for_threads(bound),
-            )),
-        ),
-        DetectorKind::Eraser => {
-            let b = detectors::BaselineBackend::new(detectors::Eraser::new());
-            (b.name(), Box::new(b))
-        }
-        DetectorKind::Vc => {
-            let b = detectors::BaselineBackend::new(detectors::VcDetector::new());
-            (b.name(), Box::new(b))
-        }
-    };
+    let (detector, backend) = backend(kind, checker::ShadowGeometry::for_threads(bound));
     // One ring per thread (tids are 1-based, ring 0 takes Alloc).
     let sink = std::sync::Arc::new(checker::StreamingSink::new(bound + 1, ring_cap, backend));
     let run = run_native_events(workload, sink.clone());

@@ -6,9 +6,10 @@
 //! * [`Shadow`] — the native-threads engine: the same `bitmap::step`
 //!   inside a compare-exchange retry loop, with and without the
 //!   owned-granule epoch cache;
-//! * [`ScalableShadow`] — the adaptive-encoding engine
-//!   (`adaptive::step`), which forgets reader identities once a
-//!   granule is read-shared.
+//! * [`ShardedShadow`] on the adaptive-only geometry
+//!   ([`ShadowGeometry::adaptive_only`]) — the adaptive-encoding
+//!   engine (`adaptive::step`), which forgets reader identities once
+//!   a granule is read-shared.
 //!
 //! One seeded operation trace is driven through all of them and the
 //! per-operation verdicts must be *identical* — not just the final
@@ -31,7 +32,7 @@ use sharc_checker::{
     EventSink, OwnedCache, ShadowGeometry, StreamingSink,
 };
 use sharc_detectors::{BaselineBackend, Eraser, VcDetector};
-use sharc_runtime::{ScalableShadow, Shadow, ShardedShadow, ThreadId, WideThreadId};
+use sharc_runtime::{Shadow, ShardedShadow, ThreadId, WideThreadId};
 use sharc_testkit::gen::{self, Gen};
 use sharc_testkit::prop::Config;
 use sharc_testkit::{forall, prop_assert};
@@ -98,7 +99,7 @@ fn all_engines_agree_on_every_verdict() {
             let shadow: Shadow = Shadow::new(GRANULES);
             let cached: Shadow = Shadow::new(GRANULES);
             let mut caches: HashMap<u32, OwnedCache> = HashMap::new();
-            let scalable = ScalableShadow::new(GRANULES);
+            let scalable = ShardedShadow::with_geometry(GRANULES, ShadowGeometry::adaptive_only());
 
             for (i, &op) in ops.iter().enumerate() {
                 match op {
@@ -167,8 +168,9 @@ fn region_epoch_engines_agree_with_global_epoch() {
             let uncached: Shadow = Shadow::new(GRANULES);
             let region: Shadow = Shadow::new(GRANULES);
             let global: Shadow = Shadow::with_epoch_regions(GRANULES, 1);
-            let adaptive = ScalableShadow::new(GRANULES);
-            let adaptive_global = ScalableShadow::with_epoch_regions(GRANULES, 1);
+            let adaptive = ShardedShadow::with_geometry(GRANULES, ShadowGeometry::adaptive_only());
+            let adaptive_global =
+                ShardedShadow::with_epoch_regions(GRANULES, ShadowGeometry::adaptive_only(), 1);
             prop_assert!(
                 region.epochs().regions() > 1,
                 "the region engine must have a real table"
@@ -356,7 +358,7 @@ fn sharded_engines_agree_up_to_256_threads() {
             let cached_global = ShardedShadow::with_epoch_regions(GRANULES, geom, 1);
             let mut caches: HashMap<u32, OwnedCache> = HashMap::new();
             let mut global_caches: HashMap<u32, OwnedCache> = HashMap::new();
-            let adaptive = ScalableShadow::new(GRANULES);
+            let adaptive = ShardedShadow::with_geometry(GRANULES, ShadowGeometry::adaptive_only());
             // Adaptive tracking: exact until the first exit; the
             // first divergence must be an extra adaptive conflict;
             // afterwards only the whole-trace implication holds.
@@ -637,7 +639,8 @@ fn range_checks_equal_per_granule_fold() {
             let mut oracle = BitmapBackend::new();
             let ranged: Shadow = Shadow::new(RANGE_GRANULES);
             let cached: Shadow = Shadow::new(RANGE_GRANULES);
-            let adaptive = ScalableShadow::new(RANGE_GRANULES);
+            let adaptive =
+                ShardedShadow::with_geometry(RANGE_GRANULES, ShadowGeometry::adaptive_only());
             let mut caches: HashMap<u32, OwnedCache> = HashMap::new();
             let mut ad_caches: HashMap<u32, OwnedCache> = HashMap::new();
 
@@ -944,8 +947,10 @@ fn ranged_clears_equal_per_granule_clear_fold() {
         |ops| {
             let ranged: Shadow = Shadow::new(RANGE_GRANULES);
             let folded: Shadow = Shadow::new(RANGE_GRANULES);
-            let ad_ranged = ScalableShadow::new(RANGE_GRANULES);
-            let ad_folded = ScalableShadow::new(RANGE_GRANULES);
+            let ad_ranged =
+                ShardedShadow::with_geometry(RANGE_GRANULES, ShadowGeometry::adaptive_only());
+            let ad_folded =
+                ShardedShadow::with_geometry(RANGE_GRANULES, ShadowGeometry::adaptive_only());
             let mut caches: HashMap<u32, OwnedCache> = HashMap::new();
             let mut ad_caches: HashMap<u32, OwnedCache> = HashMap::new();
             for (i, &op) in ops.iter().enumerate() {
