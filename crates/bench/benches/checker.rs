@@ -10,7 +10,7 @@
 //! counts.
 
 use sharc_checker::{CheckEvent, EventLog, EventSink, OwnedCache, ShadowGeometry};
-use sharc_runtime::{Shadow, ShardedShadow, ThreadId, WideThreadId};
+use sharc_runtime::{Shadow, ShardedShadow, ThreadId};
 use sharc_testkit::Bench;
 
 /// Working set sized to the cache's default slot count, so the
@@ -248,7 +248,7 @@ fn main() {
         let s = ShardedShadow::new(GRANULES);
         g.bench("sharded/1shard-write-tid1", || {
             for i in 0..GRANULES {
-                s.check_write(i, WideThreadId(1)).unwrap();
+                s.check_write(i, ThreadId(1)).unwrap();
             }
         });
     }
@@ -256,7 +256,7 @@ fn main() {
         let s = ShardedShadow::with_geometry(GRANULES, ShadowGeometry::for_threads(256));
         g.bench("sharded/5shard-write-tid1", || {
             for i in 0..GRANULES {
-                s.check_write(i, WideThreadId(1)).unwrap();
+                s.check_write(i, ThreadId(1)).unwrap();
             }
         });
     }
@@ -264,7 +264,7 @@ fn main() {
         let s = ShardedShadow::with_geometry(GRANULES, ShadowGeometry::for_threads(256));
         g.bench("sharded/5shard-write-tid200", || {
             for i in 0..GRANULES {
-                s.check_write(i, WideThreadId(200)).unwrap();
+                s.check_write(i, ThreadId(200)).unwrap();
             }
         });
     }
@@ -273,7 +273,7 @@ fn main() {
         let mut c = OwnedCache::<1>::new();
         g.bench("sharded/5shard-write-tid200-cached", || {
             for i in 0..GRANULES {
-                s.check_write_cached(i, WideThreadId(200), &mut c).unwrap();
+                s.check_write_cached(i, ThreadId(200), &mut c).unwrap();
             }
         });
     }
@@ -281,7 +281,7 @@ fn main() {
         let s = ShardedShadow::with_geometry(GRANULES, ShadowGeometry::adaptive_only());
         g.bench("sharded/adaptive-write-tid1000", || {
             for i in 0..GRANULES {
-                s.check_write(i, WideThreadId(1000)).unwrap();
+                s.check_write(i, ThreadId(1000)).unwrap();
             }
         });
     }
@@ -330,7 +330,7 @@ fn main() {
     // ---- Binary traces + parallel replay ----
     //
     // The archive rows: one 10⁷-event synthetic spine trace (10⁶
-    // under --smoke) encoded as text v3 and binary v4, decoded back,
+    // under --smoke) encoded as text v3 and binary v5, decoded back,
     // and replayed sequentially vs region-sharded over 4 workers.
     // Heavy laps, so the sample count drops to 3 for these rows.
     g.sample_size(3);
@@ -409,7 +409,7 @@ fn main() {
     // the win holds at 64 KiB.
     sharc_bench::assert_ranged_cast_wins(&g);
 
-    // Binary-trace acceptance gates: binary v4 at most 1/4 the bytes
+    // Binary-trace acceptance gates: binary v5 at most 1/4 the bytes
     // of text on the same trace, encode+decode >=2x faster; parallel
     // replay >=2x faster than sequential on a multi-core host (with
     // an honest overhead bound on a single CPU — see the gate).

@@ -20,7 +20,7 @@ fn main() {
     g.sample_size(10);
     g.bench("orig", || scan_workload_baseline(THREADS, WORDS, PASSES));
     g.bench("sharc", || {
-        let arena: Arc<Arena> = Arc::new(Arena::new(THREADS * WORDS));
+        let arena: Arc<Arena> = Arc::new(Arena::for_threads(THREADS * WORDS, THREADS));
         scan_workload_sharc::<Checked>(arena, THREADS, WORDS, PASSES)
     });
     g.bench("eraser", || {

@@ -7,7 +7,7 @@
 //! results land in `target/BENCH_shadow.json`.
 
 use sharc_checker::ShadowGeometry;
-use sharc_runtime::{Shadow, ShardedShadow, ThreadId, WideThreadId};
+use sharc_runtime::{Shadow, ShardedShadow, ThreadId};
 use sharc_testkit::Bench;
 
 const GRANULES: usize = 4096;
@@ -27,7 +27,7 @@ fn main() {
     }
     {
         let s = ShardedShadow::with_geometry(GRANULES, ShadowGeometry::adaptive_only());
-        let t = WideThreadId(1);
+        let t = ThreadId(1);
         g.bench("scalable/read-hot", || {
             for i in 0..GRANULES {
                 let _ = s.check_read(i, t);
@@ -45,7 +45,7 @@ fn main() {
     }
     {
         let s = ShardedShadow::with_geometry(GRANULES, ShadowGeometry::adaptive_only());
-        let t = WideThreadId(1);
+        let t = ThreadId(1);
         g.bench("scalable/write-hot", || {
             for i in 0..GRANULES {
                 let _ = s.check_write(i, t);

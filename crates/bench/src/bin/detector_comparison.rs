@@ -39,7 +39,7 @@ fn main() {
     println!("== Overhead: {threads} threads x {words} words x {passes} passes ==\n");
     let (base, c0) = scan_workload_baseline(threads, words, passes);
     let (sharc, c1) = {
-        let arena: Arc<Arena> = Arc::new(Arena::new(threads * words));
+        let arena: Arc<Arena> = Arc::new(Arena::for_threads(threads * words, threads));
         scan_workload_sharc::<Checked>(arena, threads, words, passes)
     };
     let (eraser, c2) = {

@@ -127,6 +127,7 @@ fn main() {
         sharc_bench::write_checker_json_at_repo_root(
             &b, &counters, &stunnel, &online, &elision, &trace,
         );
+        sharc_bench::assert_overhead_bounds();
         sharc_bench::assert_epoch_wins(&b);
         sharc_bench::assert_online_bounds(&b, &online);
         sharc_bench::assert_elision_wins(&b);

@@ -39,9 +39,10 @@
 //!   (`sharc native --trace-out` / `sharc replay`): an exact,
 //!   line-oriented round-trip so one recorded execution can be
 //!   re-judged by any backend in a later process.
-//! * [`btrace`] — the binary trace format v4 (`.sbt`): per-thread
-//!   blocks, one opcode byte per event, zigzag-LEB128 granule
-//!   deltas, a block index footer, and a zero-copy
+//! * [`btrace`] — the binary trace format v5 (`.sbt`): one opcode
+//!   byte per event, a tid delta only where the recording thread
+//!   changes, zigzag-LEB128 granule deltas against per-thread
+//!   registers, and a zero-copy
 //!   [`BinaryTraceReader`] — the archive format that makes
 //!   10⁷–10⁸-event runs practical to keep and re-judge.
 //! * [`parallel`] — [`ParallelReplay`]: region-sharded parallel

@@ -164,7 +164,7 @@ pub fn parse_text(text: &str) -> Result<Vec<CheckEvent>, String> {
                         raw,
                         &format!(
                             "unsupported text trace version v{v} \
-                             (this parser reads v1-v3; v4 is the binary `.sbt` format)"
+                             (this parser reads v1-v3; v4 and later are the binary `.sbt` format)"
                         ),
                     ))
                 }

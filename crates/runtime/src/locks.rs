@@ -92,7 +92,7 @@ impl ThreadCtx {
     #[inline]
     pub(crate) fn emit_access(&self, granule: usize, is_write: bool) {
         if let Some(sink) = &self.sink {
-            sink.record_access(self.tid.0 as u32, granule, is_write);
+            sink.record_access(self.tid.0, granule, is_write);
         }
     }
 
@@ -101,7 +101,7 @@ impl ThreadCtx {
     #[inline]
     pub(crate) fn emit_range(&self, granule: usize, len: usize, is_write: bool) {
         if let Some(sink) = &self.sink {
-            sink.record_range(self.tid.0 as u32, granule, len, is_write);
+            sink.record_range(self.tid.0, granule, len, is_write);
         }
     }
 
@@ -167,7 +167,7 @@ impl LockRegistry {
         ctx.held.push(lock);
         if let Some(sink) = &ctx.sink {
             sink.record(sharc_checker::CheckEvent::Acquire {
-                tid: ctx.tid.0 as u32,
+                tid: ctx.tid.0,
                 lock: lock.0,
             });
         }
@@ -190,7 +190,7 @@ impl LockRegistry {
         // thread's acquire can be logged between it and us.
         if let Some(sink) = &ctx.sink {
             sink.record(sharc_checker::CheckEvent::Release {
-                tid: ctx.tid.0 as u32,
+                tid: ctx.tid.0,
                 lock: lock.0,
             });
         }
@@ -207,9 +207,17 @@ mod tests {
 
     #[test]
     fn lock_log_tracks_held() {
+        // A tid past any one-byte or one-shard range: the log and its
+        // error report carry it whole.
         let reg = LockRegistry::new(2);
-        let mut ctx = ThreadCtx::new(ThreadId(1));
-        assert!(ctx.assert_held(LockId(0)).is_err());
+        let mut ctx = ThreadCtx::new(ThreadId(300));
+        assert_eq!(
+            ctx.assert_held(LockId(0)),
+            Err(LockNotHeld {
+                lock: LockId(0),
+                tid: ThreadId(300)
+            })
+        );
         reg.lock(&mut ctx, LockId(0));
         assert!(ctx.assert_held(LockId(0)).is_ok());
         assert!(ctx.assert_held(LockId(1)).is_err());
@@ -242,7 +250,7 @@ mod tests {
         let reg = Arc::new(LockRegistry::new(1));
         let counter = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
-        for t in 1..=4u8 {
+        for t in 1..=4u32 {
             let reg = Arc::clone(&reg);
             let counter = Arc::clone(&counter);
             handles.push(std::thread::spawn(move || {

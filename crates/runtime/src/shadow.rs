@@ -5,7 +5,10 @@
 //! ([`sharc_checker::step::bitmap`]): this module is the thin
 //! compare-exchange retry loop around the pure transition function —
 //! the portable equivalent of the paper's `cmpxchg` on x86. With `n`
-//! shadow bytes the encoding supports `8n − 1` threads.
+//! shadow bytes the encoding supports `8n − 1` threads; this engine
+//! keeps the paper's evaluated `n = 1` ("setting n = 1 has been
+//! sufficient"), one byte per granule and tids `1..=7`. Wider thread
+//! counts run on [`crate::ShardedShadow`].
 //!
 //! On top of the CAS path sits the *owned-granule epoch cache* fast
 //! path ([`Shadow::check_read_cached`] /
@@ -20,12 +23,13 @@
 
 use sharc_checker::step::{bitmap, range, Access, Transition};
 use sharc_checker::{EpochTable, OwnedCache};
-use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
-/// A checked-thread identifier: `1 ..= 8n - 1` for a width of `n`
-/// bytes.
+/// A checked-thread identifier (1-based). Both shadow engines take
+/// it: [`Shadow`] accepts `1..=`[`Shadow::MAX_THREAD`], and
+/// [`crate::ShardedShadow`] any id up to 2³⁰ − 1.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ThreadId(pub u8);
+pub struct ThreadId(pub u32);
 
 /// A race detected by a shadow check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,72 +56,55 @@ impl std::fmt::Display for RaceError {
 
 impl std::error::Error for RaceError {}
 
-/// The atomic word backing one granule's shadow state. Implemented
-/// for 1, 2, 4, and 8 byte widths (`n` in the paper's `8n - 1`).
-pub trait ShadowWord: Default + Sync + Send {
-    /// Number of shadow bytes per granule.
-    const BYTES: usize;
-    /// Maximum checked-thread id representable.
-    const MAX_THREAD: u8 = (Self::BYTES * 8 - 1) as u8;
-    fn load(&self) -> u64;
+/// One granule's shadow byte, widened to the `u64` the pure step
+/// functions speak.
+#[derive(Debug, Default)]
+struct ShadowByte(AtomicU8);
+
+impl ShadowByte {
+    #[inline]
+    fn load(&self) -> u64 {
+        self.0.load(Ordering::Acquire) as u64
+    }
+
     /// Compare-exchange; returns the previous value on failure.
-    fn compare_exchange(&self, current: u64, new: u64) -> Result<u64, u64>;
+    #[inline]
+    fn compare_exchange(&self, current: u64, new: u64) -> Result<u64, u64> {
+        self.0
+            .compare_exchange_weak(
+                current as u8,
+                new as u8,
+                Ordering::AcqRel,
+                Ordering::Acquire,
+            )
+            .map(|v| v as u64)
+            .map_err(|v| v as u64)
+    }
+
     /// Unconditional clear.
-    fn clear(&self);
+    #[inline]
+    fn clear(&self) {
+        self.0.store(0, Ordering::Release);
+    }
 }
 
-macro_rules! impl_shadow_word {
-    ($atomic:ty, $raw:ty, $bytes:expr) => {
-        impl ShadowWord for $atomic {
-            const BYTES: usize = $bytes;
-            fn load(&self) -> u64 {
-                <$atomic>::load(self, Ordering::Acquire) as u64
-            }
-            fn compare_exchange(&self, current: u64, new: u64) -> Result<u64, u64> {
-                <$atomic>::compare_exchange_weak(
-                    self,
-                    current as $raw,
-                    new as $raw,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .map(|v| v as u64)
-                .map_err(|v| v as u64)
-            }
-            fn clear(&self) {
-                <$atomic>::store(self, 0, Ordering::Release);
-            }
-        }
-    };
-}
-
-impl_shadow_word!(AtomicU8, u8, 1);
-impl_shadow_word!(AtomicU16, u16, 2);
-impl_shadow_word!(AtomicU32, u32, 4);
-impl_shadow_word!(AtomicU64, u64, 8);
-
-// The widest word's capacity is the workspace-wide thread bound; the
-// VM checks its own MAX_THREADS against the same constant.
-const _: () = assert!(
-    AtomicU64::MAX_THREAD as usize == sharc_checker::MAX_CHECKED_THREADS,
-    "the 8n-1 rule must agree with sharc-checker"
-);
-
-/// Shadow state for a payload arena, one word per 16-byte granule
-/// ([`sharc_checker::GRANULE_BYTES`]).
-///
-/// The default width (`AtomicU8`, n = 1) matches the paper's
-/// evaluation configuration: "setting n = 1 has been sufficient".
+/// Shadow state for a payload arena, one byte per 16-byte granule
+/// ([`sharc_checker::GRANULE_BYTES`]) — the paper's `n = 1`
+/// evaluation configuration.
 #[derive(Debug)]
-pub struct Shadow<W: ShadowWord = AtomicU8> {
-    words: Vec<W>,
+pub struct Shadow {
+    words: Vec<ShadowByte>,
     /// Per-region clear epochs; a clear bumps only the region holding
     /// the cleared granule, and owned-granule caches self-invalidate
     /// entries of regions whose epoch moved.
     epochs: EpochTable,
 }
 
-impl<W: ShadowWord> Shadow<W> {
+impl Shadow {
+    /// The largest checked-thread id one shadow byte holds (`8n − 1`
+    /// with `n = 1`).
+    pub const MAX_THREAD: u32 = sharc_checker::max_bitmap_tid(1);
+
     /// Creates shadow state for `n_granules` granules, with the
     /// default epoch-region geometry
     /// ([`EpochTable::for_granules`]).
@@ -138,7 +125,7 @@ impl<W: ShadowWord> Shadow<W> {
 
     fn with_epochs(n_granules: usize, epochs: EpochTable) -> Self {
         let mut words = Vec::with_capacity(n_granules);
-        words.resize_with(n_granules, W::default);
+        words.resize_with(n_granules, ShadowByte::default);
         Shadow { words, epochs }
     }
 
@@ -154,12 +141,7 @@ impl<W: ShadowWord> Shadow<W> {
 
     /// Shadow bytes consumed (the paper's memory overhead source).
     pub fn shadow_bytes(&self) -> usize {
-        self.words.len() * W::BYTES
-    }
-
-    /// The largest thread id this width supports (`8n - 1`).
-    pub fn max_thread(&self) -> u8 {
-        W::MAX_THREAD
+        self.words.len()
     }
 
     /// The current clear-epoch of `granule`'s region (see
@@ -179,13 +161,13 @@ impl<W: ShadowWord> Shadow<W> {
     #[inline]
     fn check(&self, granule: usize, tid: ThreadId, access: Access) -> Result<bool, RaceError> {
         assert!(
-            tid.0 >= 1 && tid.0 <= W::MAX_THREAD,
+            tid.0 >= 1 && tid.0 <= Self::MAX_THREAD,
             "thread id out of range"
         );
         let w = &self.words[granule];
         let mut cur = w.load();
         loop {
-            match bitmap::step(cur, tid.0 as u32, access) {
+            match bitmap::step(cur, tid.0, access) {
                 Transition::Unchanged => return Ok(false),
                 Transition::Conflict => {
                     return Err(RaceError {
@@ -209,7 +191,7 @@ impl<W: ShadowWord> Shadow<W> {
     ///
     /// # Panics
     ///
-    /// Panics if `tid` exceeds the width's thread capacity.
+    /// Panics unless `tid` is in `1..=`[`Shadow::MAX_THREAD`].
     pub fn check_read(&self, granule: usize, tid: ThreadId) -> Result<bool, RaceError> {
         self.check(granule, tid, Access::Read)
     }
@@ -218,7 +200,7 @@ impl<W: ShadowWord> Shadow<W> {
     ///
     /// # Panics
     ///
-    /// Panics if `tid` exceeds the width's thread capacity.
+    /// Panics unless `tid` is in `1..=`[`Shadow::MAX_THREAD`].
     pub fn check_write(&self, granule: usize, tid: ThreadId) -> Result<bool, RaceError> {
         self.check(granule, tid, Access::Write)
     }
@@ -329,7 +311,7 @@ impl<W: ShadowWord> Shadow<W> {
         while g < end {
             // Fast classification: one load + one branch-light
             // `recorded` test per already-recorded granule.
-            while g < end && range::recorded(self.words[g].load(), tid.0 as u32, access) {
+            while g < end && range::recorded(self.words[g].load(), tid.0, access) {
                 g += 1;
             }
             if g >= end {
@@ -491,7 +473,7 @@ impl<W: ShadowWord> Shadow<W> {
         let w = &self.words[granule];
         let mut cur = w.load();
         loop {
-            let new = bitmap::clear_thread(cur, tid.0 as u32);
+            let new = bitmap::clear_thread(cur, tid.0);
             if new == cur {
                 break;
             }
@@ -540,7 +522,7 @@ impl<W: ShadowWord> Shadow<W> {
             let w = &self.words[g];
             let mut cur = w.load();
             loop {
-                let new = bitmap::clear_thread(cur, tid.0 as u32);
+                let new = bitmap::clear_thread(cur, tid.0);
                 if new == cur {
                     break;
                 }
@@ -628,20 +610,16 @@ mod tests {
     }
 
     #[test]
-    fn width_capacities() {
-        assert_eq!(Shadow::<AtomicU8>::new(1).max_thread(), 7);
-        assert_eq!(Shadow::<AtomicU16>::new(1).max_thread(), 15);
-        assert_eq!(Shadow::<AtomicU32>::new(1).max_thread(), 31);
-        assert_eq!(Shadow::<AtomicU64>::new(1).max_thread(), 63);
+    fn one_byte_holds_seven_tids() {
+        assert_eq!(Shadow::MAX_THREAD, 7);
+        assert_eq!(Shadow::new(5).shadow_bytes(), 5, "one byte per granule");
     }
 
     #[test]
-    fn wider_words_support_more_threads() {
-        let s: Shadow<AtomicU16> = Shadow::new(1);
-        for t in 1..=15 {
-            assert!(s.check_read(0, ThreadId(t)).is_ok());
-        }
-        assert_eq!(s.shadow_bytes(), 2);
+    #[should_panic(expected = "thread id out of range")]
+    fn thread_id_past_seven_rejected() {
+        let s: Shadow = Shadow::new(1);
+        let _ = s.check_read(0, ThreadId(8));
     }
 
     #[test]
@@ -655,7 +633,7 @@ mod tests {
     fn concurrent_readers_never_conflict() {
         let s: Arc<Shadow> = Arc::new(Shadow::new(64));
         let mut handles = Vec::new();
-        for t in 1..=7u8 {
+        for t in 1..=7u32 {
             let s = Arc::clone(&s);
             handles.push(std::thread::spawn(move || {
                 for g in 0..64 {
@@ -675,7 +653,7 @@ mod tests {
     fn concurrent_disjoint_writers_never_conflict() {
         let s: Arc<Shadow> = Arc::new(Shadow::new(70));
         let mut handles = Vec::new();
-        for t in 1..=7u8 {
+        for t in 1..=7u32 {
             let s = Arc::clone(&s);
             handles.push(std::thread::spawn(move || {
                 for rep in 0..100 {
@@ -693,7 +671,7 @@ mod tests {
     fn concurrent_same_granule_writers_conflict() {
         let s: Arc<Shadow> = Arc::new(Shadow::new(1));
         let mut handles = Vec::new();
-        for t in 1..=4u8 {
+        for t in 1..=4u32 {
             let s = Arc::clone(&s);
             handles.push(std::thread::spawn(move || {
                 let mut conflicts = 0;
@@ -777,6 +755,10 @@ mod tests {
         s1.clear(0);
         assert_eq!(s1.check_write_cached(64, ThreadId(1), &mut c1), Ok(false));
         assert_eq!(c1.misses, 2, "global epoch: the clear cost a refill");
+        // So does a ranged free, the arena's `clear_range` path.
+        s1.clear_range(0, 2);
+        assert_eq!(s1.check_write_cached(64, ThreadId(1), &mut c1), Ok(false));
+        assert_eq!(c1.misses, 3, "global epoch: the ranged free cost a refill");
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! [`ShardedShadow::with_epoch_regions`] with `regions = 1` restores
 //! the old whole-cache-flush behaviour.
 
-use crate::shadow::RaceError;
+use crate::shadow::{RaceError, ThreadId};
 use sharc_checker::step::{
     range,
     sharded::{self, ShardStep},
@@ -51,11 +51,6 @@ use sharc_checker::step::{
 };
 use sharc_checker::{EpochTable, OwnedCache, ShadowGeometry};
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A thread id for the sharded shadow and the wide arena (1-based,
-/// up to 2³⁰ − 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WideThreadId(pub u32);
 
 /// Upper bound on words per granule the stack-allocated snapshot
 /// supports: 15 shards + overflow = exact identities for 945
@@ -177,7 +172,7 @@ impl ShardedShadow {
     }
 
     /// The snapshot → step → CAS → revalidate protocol (module docs).
-    fn check(&self, granule: usize, tid: WideThreadId, access: Access) -> Result<bool, RaceError> {
+    fn check(&self, granule: usize, tid: ThreadId, access: Access) -> Result<bool, RaceError> {
         assert!(
             tid.0 >= 1 && (tid.0 as u64) <= sharc_checker::step::adaptive::TID_MASK,
             "thread id out of range"
@@ -243,7 +238,7 @@ impl ShardedShadow {
     /// # Panics
     ///
     /// Panics if `tid` is zero or exceeds 2³⁰ − 1.
-    pub fn check_read(&self, granule: usize, tid: WideThreadId) -> Result<bool, RaceError> {
+    pub fn check_read(&self, granule: usize, tid: ThreadId) -> Result<bool, RaceError> {
         self.check(granule, tid, Access::Read)
     }
 
@@ -252,7 +247,7 @@ impl ShardedShadow {
     /// # Panics
     ///
     /// Panics if `tid` is zero or exceeds 2³⁰ − 1.
-    pub fn check_write(&self, granule: usize, tid: WideThreadId) -> Result<bool, RaceError> {
+    pub fn check_write(&self, granule: usize, tid: ThreadId) -> Result<bool, RaceError> {
         self.check(granule, tid, Access::Write)
     }
 
@@ -263,7 +258,7 @@ impl ShardedShadow {
     pub fn check_read_cached<const WAYS: usize>(
         &self,
         granule: usize,
-        tid: WideThreadId,
+        tid: ThreadId,
         cache: &mut OwnedCache<WAYS>,
     ) -> Result<bool, RaceError> {
         // The region epoch must be observed before the slow-path
@@ -281,7 +276,7 @@ impl ShardedShadow {
     fn fill_read<const WAYS: usize>(
         &self,
         granule: usize,
-        tid: WideThreadId,
+        tid: ThreadId,
         cache: &mut OwnedCache<WAYS>,
         epoch: u64,
     ) -> Result<bool, RaceError> {
@@ -296,7 +291,7 @@ impl ShardedShadow {
     pub fn check_write_cached<const WAYS: usize>(
         &self,
         granule: usize,
-        tid: WideThreadId,
+        tid: ThreadId,
         cache: &mut OwnedCache<WAYS>,
     ) -> Result<bool, RaceError> {
         let epoch = self.epochs.epoch_of(granule);
@@ -311,7 +306,7 @@ impl ShardedShadow {
     fn fill_write<const WAYS: usize>(
         &self,
         granule: usize,
-        tid: WideThreadId,
+        tid: ThreadId,
         cache: &mut OwnedCache<WAYS>,
         epoch: u64,
     ) -> Result<bool, RaceError> {
@@ -334,7 +329,7 @@ impl ShardedShadow {
         &self,
         start: usize,
         len: usize,
-        tid: WideThreadId,
+        tid: ThreadId,
         access: Access,
         mut on_newly: impl FnMut(usize),
         mut on_conflict: impl FnMut(RaceError),
@@ -379,7 +374,7 @@ impl ShardedShadow {
         &self,
         start: usize,
         len: usize,
-        tid: WideThreadId,
+        tid: ThreadId,
         on_newly: impl FnMut(usize),
         on_conflict: impl FnMut(RaceError),
     ) -> usize {
@@ -391,7 +386,7 @@ impl ShardedShadow {
         &self,
         start: usize,
         len: usize,
-        tid: WideThreadId,
+        tid: ThreadId,
         on_newly: impl FnMut(usize),
         on_conflict: impl FnMut(RaceError),
     ) -> usize {
@@ -408,7 +403,7 @@ impl ShardedShadow {
         &self,
         start: usize,
         len: usize,
-        tid: WideThreadId,
+        tid: ThreadId,
         cache: &mut OwnedCache<WAYS>,
         on_newly: impl FnMut(usize),
         on_conflict: impl FnMut(RaceError),
@@ -436,7 +431,7 @@ impl ShardedShadow {
         &self,
         start: usize,
         len: usize,
-        tid: WideThreadId,
+        tid: ThreadId,
         cache: &mut OwnedCache<WAYS>,
         on_newly: impl FnMut(usize),
         on_conflict: impl FnMut(RaceError),
@@ -464,7 +459,7 @@ impl ShardedShadow {
         &self,
         start: usize,
         len: usize,
-        tid: WideThreadId,
+        tid: ThreadId,
         cache: &mut OwnedCache<WAYS>,
         stamp: u64,
         access: Access,
@@ -499,7 +494,7 @@ impl ShardedShadow {
     /// Thread-exit clearing: exact (bit-subtracting) for ids within
     /// the geometry's shards; `SHARED_READ` overflow state cannot be
     /// partially cleared and is left intact (sound but imprecise).
-    pub fn clear_thread(&self, granule: usize, tid: WideThreadId) {
+    pub fn clear_thread(&self, granule: usize, tid: ThreadId) {
         let base = self.base(granule);
         let mut buf = [0u64; MAX_WORDS_PER_GRANULE];
         loop {
@@ -553,7 +548,7 @@ impl ShardedShadow {
     /// (exact within the geometry's shards, `SHARED_READ` overflow
     /// left intact), but the whole span pays ONE ranged epoch bump
     /// instead of one per granule.
-    pub fn clear_thread_range(&self, start: usize, len: usize, tid: WideThreadId) {
+    pub fn clear_thread_range(&self, start: usize, len: usize, tid: ThreadId) {
         if len == 0 {
             return;
         }
@@ -606,55 +601,55 @@ mod tests {
     fn readers_past_63_keep_exact_identities() {
         let s = wide(1);
         for t in [1u32, 64, 127, 200, 256] {
-            assert!(s.check_read(0, WideThreadId(t)).is_ok(), "reader {t}");
+            assert!(s.check_read(0, ThreadId(t)).is_ok(), "reader {t}");
         }
         // Any writer conflicts while readers exist...
-        assert!(s.check_write(0, WideThreadId(64)).is_err());
+        assert!(s.check_write(0, ThreadId(64)).is_err());
         // ...and each exit subtracts exactly.
         for t in [1u32, 127, 200, 256] {
-            s.clear_thread(0, WideThreadId(t));
+            s.clear_thread(0, ThreadId(t));
         }
         // Only 64 still reads: its own upgrade now succeeds — the
         // adaptive encoding can never do this after SHARED_READ.
-        assert!(s.check_write(0, WideThreadId(64)).is_ok());
+        assert!(s.check_write(0, ThreadId(64)).is_ok());
     }
 
     #[test]
     fn cross_shard_writer_excludes_everyone() {
         let s = wide(1);
-        s.check_write(0, WideThreadId(100)).unwrap();
+        s.check_write(0, ThreadId(100)).unwrap();
         for t in [1u32, 63, 64, 163, 256, 1000] {
-            assert!(s.check_read(0, WideThreadId(t)).is_err(), "reader {t}");
-            assert!(s.check_write(0, WideThreadId(t)).is_err(), "writer {t}");
+            assert!(s.check_read(0, ThreadId(t)).is_err(), "reader {t}");
+            assert!(s.check_write(0, ThreadId(t)).is_err(), "writer {t}");
         }
-        assert!(s.check_write(0, WideThreadId(100)).is_ok(), "owner free");
+        assert!(s.check_write(0, ThreadId(100)).is_ok(), "owner free");
     }
 
     #[test]
     fn overflow_ids_beyond_exact_range_are_sound() {
         let s = wide(1); // exact to 315
-        assert!(s.check_read(0, WideThreadId(9999)).is_ok());
-        assert!(s.check_write(0, WideThreadId(50)).is_err(), "sees overflow");
+        assert!(s.check_read(0, ThreadId(9999)).is_ok());
+        assert!(s.check_write(0, ThreadId(50)).is_err(), "sees overflow");
         s.clear(0);
-        assert!(s.check_write(0, WideThreadId(50)).is_ok());
+        assert!(s.check_write(0, ThreadId(50)).is_ok());
     }
 
     #[test]
     fn clear_resets_every_word() {
         let s = wide(1);
-        s.check_read(0, WideThreadId(1)).unwrap();
-        s.check_read(0, WideThreadId(100)).unwrap();
-        s.check_read(0, WideThreadId(9999)).unwrap();
+        s.check_read(0, ThreadId(1)).unwrap();
+        s.check_read(0, ThreadId(100)).unwrap();
+        s.check_read(0, ThreadId(9999)).unwrap();
         s.clear(0);
         assert!(s.raw_words(0).iter().all(|&w| w == 0));
-        assert!(s.check_write(0, WideThreadId(200)).is_ok());
+        assert!(s.check_write(0, ThreadId(200)).is_ok());
     }
 
     #[test]
     fn cached_paths_agree_with_uncached() {
         let s = wide(4);
         let mut cache = OwnedCache::<1>::new();
-        let t = WideThreadId(100);
+        let t = ThreadId(100);
         assert_eq!(s.check_write_cached(0, t, &mut cache), Ok(true));
         for _ in 0..10 {
             assert_eq!(s.check_write_cached(0, t, &mut cache), Ok(false));
@@ -662,9 +657,9 @@ mod tests {
         }
         assert_eq!(cache.misses, 1, "one fill, then fast-path hits");
         // An intruder still conflicts, and a clear un-caches.
-        assert!(s.check_write(0, WideThreadId(1)).is_err());
+        assert!(s.check_write(0, ThreadId(1)).is_err());
         s.clear(0);
-        s.check_write(0, WideThreadId(1)).unwrap();
+        s.check_write(0, ThreadId(1)).unwrap();
         assert!(s.check_write_cached(0, t, &mut cache).is_err());
     }
 
@@ -675,24 +670,19 @@ mod tests {
         let s = wide(128);
         assert!(s.epochs().regions() > 1, "a real region table");
         let mut c = OwnedCache::<1>::new();
-        s.check_write_cached(127, WideThreadId(200), &mut c)
-            .unwrap();
+        s.check_write_cached(127, ThreadId(200), &mut c).unwrap();
         assert_eq!(c.misses, 1);
         s.clear(0);
-        assert_eq!(
-            s.check_write_cached(127, WideThreadId(200), &mut c),
-            Ok(false)
-        );
+        assert_eq!(s.check_write_cached(127, ThreadId(200), &mut c), Ok(false));
         assert_eq!(c.misses, 1, "no refill after the distant clear");
         // The degenerate R = 1 geometry still flushes everything.
         let s1 = ShardedShadow::with_epoch_regions(128, ShadowGeometry::for_threads(256), 1);
         assert_eq!(s1.epochs().regions(), 1);
         let mut c1 = OwnedCache::<1>::new();
-        s1.check_write_cached(127, WideThreadId(200), &mut c1)
-            .unwrap();
+        s1.check_write_cached(127, ThreadId(200), &mut c1).unwrap();
         s1.clear(0);
         assert_eq!(
-            s1.check_write_cached(127, WideThreadId(200), &mut c1),
+            s1.check_write_cached(127, ThreadId(200), &mut c1),
             Ok(false)
         );
         assert_eq!(c1.misses, 2, "global epoch: the clear cost a refill");
@@ -706,7 +696,7 @@ mod tests {
             let s = Arc::clone(&s);
             handles.push(std::thread::spawn(move || {
                 for g in 0..32 {
-                    s.check_read(g, WideThreadId(t)).unwrap();
+                    s.check_read(g, ThreadId(t)).unwrap();
                 }
             }));
         }
@@ -729,7 +719,7 @@ mod tests {
                 let b = Arc::clone(&barrier);
                 handles.push(std::thread::spawn(move || {
                     b.wait();
-                    s.check_write(0, WideThreadId(t)).is_err()
+                    s.check_write(0, ThreadId(t)).is_err()
                 }));
             }
             let conflicts = handles
@@ -750,7 +740,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for rep in 0..200 {
                     let g = i * 8 + rep % 8;
-                    s.check_write(g, WideThreadId(t)).unwrap();
+                    s.check_write(g, ThreadId(t)).unwrap();
                 }
             }));
         }
@@ -764,7 +754,7 @@ mod tests {
         s: &ShardedShadow,
         start: usize,
         len: usize,
-        tid: WideThreadId,
+        tid: ThreadId,
         access: Access,
     ) -> (usize, Vec<usize>) {
         let mut conflicts = 0;
@@ -788,19 +778,19 @@ mod tests {
         let b = wide(32);
         for s in [&a, &b] {
             for g in 0..8 {
-                s.check_write(g, WideThreadId(200)).unwrap();
+                s.check_write(g, ThreadId(200)).unwrap();
             }
             for g in 8..16 {
-                s.check_read(g, WideThreadId(1)).unwrap();
-                s.check_read(g, WideThreadId(100)).unwrap();
+                s.check_read(g, ThreadId(1)).unwrap();
+                s.check_read(g, ThreadId(100)).unwrap();
             }
             // 16..24 foreign-owned: conflicts for tid 200.
             for g in 16..24 {
-                s.check_write(g, WideThreadId(7)).unwrap();
+                s.check_write(g, ThreadId(7)).unwrap();
             }
             // 24..32 untouched: newly installed by the sweep.
         }
-        let t = WideThreadId(200);
+        let t = ThreadId(200);
         let (want_conflicts, want_newly) = fold_check(&a, 0, 32, t, Access::Read);
         let mut got_newly = Vec::new();
         let mut got_errs = Vec::new();
@@ -821,7 +811,7 @@ mod tests {
     fn cached_range_repeat_sweep_is_one_stamp_compare() {
         let s = wide(64);
         let mut c = OwnedCache::<4>::new();
-        let t = WideThreadId(150);
+        let t = ThreadId(150);
         let n = s.check_range_write_cached(0, 64, t, &mut c, |_| {}, |_| panic!("clean"));
         assert_eq!(n, 0);
         let misses_after_fill = c.misses;
@@ -840,7 +830,7 @@ mod tests {
         // A clear inside the run discards the summary, and the refill
         // sees the intruder.
         s.clear(3);
-        s.check_write(3, WideThreadId(9)).unwrap();
+        s.check_write(3, ThreadId(9)).unwrap();
         let mut conflicts = Vec::new();
         s.check_range_write_cached(0, 64, t, &mut c, |_| {}, |e| conflicts.push(e.granule));
         assert_eq!(conflicts, vec![3], "stale run cannot hide the intruder");
@@ -850,7 +840,7 @@ mod tests {
     #[should_panic(expected = "thread id out of range")]
     fn zero_tid_rejected() {
         let s = ShardedShadow::new(1);
-        let _ = s.check_read(0, WideThreadId(0));
+        let _ = s.check_read(0, ThreadId(0));
     }
 
     #[test]
@@ -877,7 +867,7 @@ mod tests {
         #[test]
         fn single_thread_lifecycle() {
             let s = adaptive(2);
-            let t = WideThreadId(1);
+            let t = ThreadId(1);
             assert_eq!(s.check_read(0, t), Ok(true));
             assert_eq!(s.check_read(0, t), Ok(false));
             assert!(s.check_write(0, t).is_ok());
@@ -890,35 +880,35 @@ mod tests {
             // The bitmap tops out at 63 threads; this encoding takes ids
             // up to 2^30 - 1 at the same 8 bytes per granule.
             let s = adaptive(1);
-            assert!(s.check_read(0, WideThreadId(1_000_000)).is_ok());
-            assert!(s.check_write(0, WideThreadId(1_000_000)).is_ok());
-            assert!(s.check_write(0, WideThreadId(999_999)).is_err());
+            assert!(s.check_read(0, ThreadId(1_000_000)).is_ok());
+            assert!(s.check_write(0, ThreadId(1_000_000)).is_ok());
+            assert!(s.check_write(0, ThreadId(999_999)).is_err());
         }
 
         #[test]
         fn many_readers_then_writer_conflicts() {
             let s = adaptive(1);
             for t in 1..=100u32 {
-                assert!(s.check_read(0, WideThreadId(t)).is_ok(), "reader {t}");
+                assert!(s.check_read(0, ThreadId(t)).is_ok(), "reader {t}");
             }
-            assert!(s.check_write(0, WideThreadId(1)).is_err());
+            assert!(s.check_write(0, ThreadId(1)).is_err());
         }
 
         #[test]
         fn writer_excludes_everyone() {
             let s = adaptive(1);
-            s.check_write(0, WideThreadId(7)).unwrap();
-            assert!(s.check_read(0, WideThreadId(8)).is_err());
-            assert!(s.check_write(0, WideThreadId(8)).is_err());
-            assert!(s.check_read(0, WideThreadId(7)).is_ok());
+            s.check_write(0, ThreadId(7)).unwrap();
+            assert!(s.check_read(0, ThreadId(8)).is_err());
+            assert!(s.check_write(0, ThreadId(8)).is_err());
+            assert!(s.check_read(0, ThreadId(7)).is_ok());
         }
 
         #[test]
         fn exclusive_exit_clears() {
             let s = adaptive(1);
-            s.check_write(0, WideThreadId(3)).unwrap();
-            s.clear_thread(0, WideThreadId(3));
-            assert!(s.check_write(0, WideThreadId(4)).is_ok());
+            s.check_write(0, ThreadId(3)).unwrap();
+            s.clear_thread(0, ThreadId(3));
+            assert!(s.check_write(0, ThreadId(4)).is_ok());
         }
 
         #[test]
@@ -926,23 +916,23 @@ mod tests {
             // Documented imprecision: after read-sharing, exits cannot be
             // subtracted, so the next writer conflicts until a reset.
             let s = adaptive(1);
-            s.check_read(0, WideThreadId(1)).unwrap();
-            s.check_read(0, WideThreadId(2)).unwrap();
-            s.clear_thread(0, WideThreadId(1));
-            s.clear_thread(0, WideThreadId(2));
+            s.check_read(0, ThreadId(1)).unwrap();
+            s.check_read(0, ThreadId(2)).unwrap();
+            s.clear_thread(0, ThreadId(1));
+            s.clear_thread(0, ThreadId(2));
             assert!(
-                s.check_write(0, WideThreadId(3)).is_err(),
+                s.check_write(0, ThreadId(3)).is_err(),
                 "sound but imprecise"
             );
             s.clear(0);
-            assert!(s.check_write(0, WideThreadId(3)).is_ok());
+            assert!(s.check_write(0, ThreadId(3)).is_ok());
         }
 
         #[test]
         fn single_reader_upgrade_to_writer() {
             let s = adaptive(1);
-            s.check_read(0, WideThreadId(5)).unwrap();
-            assert!(s.check_write(0, WideThreadId(5)).is_ok(), "own upgrade");
+            s.check_read(0, ThreadId(5)).unwrap();
+            assert!(s.check_write(0, ThreadId(5)).is_ok(), "own upgrade");
         }
 
         #[test]
@@ -954,7 +944,7 @@ mod tests {
                 handles.push(std::thread::spawn(move || {
                     for rep in 0..200 {
                         let g = (t as usize - 1) * 8 + rep % 8;
-                        s.check_write(g, WideThreadId(t)).unwrap();
+                        s.check_write(g, ThreadId(t)).unwrap();
                     }
                 }));
             }
@@ -971,7 +961,7 @@ mod tests {
                 let s = Arc::clone(&s);
                 handles.push(std::thread::spawn(move || {
                     (0..100)
-                        .filter(|_| s.check_write(0, WideThreadId(t)).is_err())
+                        .filter(|_| s.check_write(0, ThreadId(t)).is_err())
                         .count()
                 }));
             }
@@ -982,9 +972,9 @@ mod tests {
         #[test]
         fn ranged_sweep_matches_per_granule_and_caches_the_run() {
             let s = adaptive(16);
-            let t = WideThreadId(70_000);
+            let t = ThreadId(70_000);
             // Foreign owner in the middle of the run.
-            s.check_write(7, WideThreadId(3)).unwrap();
+            s.check_write(7, ThreadId(3)).unwrap();
             let mut newly = Vec::new();
             let mut bad = Vec::new();
             let n = s.check_range_write(0, 16, t, |g| newly.push(g), |e| bad.push(e.granule));

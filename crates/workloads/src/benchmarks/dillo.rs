@@ -79,21 +79,24 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
     // The shared result cache: one granule (16 bytes) per request,
     // matching dillo's 16-byte-aligned request allocations (§4.5's
     // alignment requirement avoids false sharing).
-    let arena: Arc<Arena> = Arc::new(Arena::new(2 * params.n_requests));
+    let arena: Arc<Arena> = Arc::new(Arena::for_threads(
+        2 * params.n_requests,
+        params.workers + 1,
+    ));
     let queue: Arc<Mutex<VecDeque<usize>>> = Arc::new(Mutex::new((0..params.n_requests).collect()));
     // The dillo quirk: request ids are "cast to pointer type" and so
     // get reference-counted — one RC slot per request whose updates
     // touch count memory (the paper's bogus-pointer overhead).
     let bogus_rc = Arc::new(NaiveRc::new(params.n_requests, params.n_requests.max(1)));
-    let is_checked = P::NAME == "sharc";
+    let is_checked = P::CHECKED;
 
     let mut handles = Vec::new();
     for w in 0..params.workers {
-        let tid = ThreadId(w as u8 + 2);
+        let tid = ThreadId(w as u32 + 2);
         if let Some(s) = &sink {
             s.record(CheckEvent::Fork {
                 parent: 1,
-                child: tid.0 as u32,
+                child: tid.0,
             });
         }
         let dns = Arc::clone(&dns);
@@ -114,14 +117,14 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
                     let mut q = queue.lock();
                     if let Some(s) = &ctx.sink {
                         s.record(CheckEvent::Acquire {
-                            tid: tid.0 as u32,
+                            tid: tid.0,
                             lock: QUEUE_LOCK,
                         });
                     }
                     let req = q.pop_front();
                     if let Some(s) = &ctx.sink {
                         s.record(CheckEvent::Release {
-                            tid: tid.0 as u32,
+                            tid: tid.0,
                             lock: QUEUE_LOCK,
                         });
                     }

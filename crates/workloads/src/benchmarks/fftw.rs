@@ -158,7 +158,10 @@ pub fn run_traced(params: &Params) -> (NativeRun, Vec<CheckEvent>) {
 /// execution shape as [`run_traced`], which is this plus an
 /// [`EventLog`] to keep the trace.
 pub fn run_with_events(params: &Params, sink: Arc<dyn EventSink>) -> NativeRun {
-    let arena: Arc<Arena> = Arc::new(Arena::new(params.n_transforms * GRANULE_WORDS));
+    let arena: Arc<Arena> = Arc::new(Arena::for_threads(
+        params.n_transforms * GRANULE_WORDS,
+        params.workers + 1,
+    ));
     let mut main_ctx = ThreadCtx::with_sink(ThreadId(1), Arc::clone(&sink));
     let per_worker = params.n_transforms.div_ceil(params.workers);
 
@@ -179,10 +182,10 @@ pub fn run_with_events(params: &Params, sink: Arc<dyn EventSink>) -> NativeRun {
 
     let mut handles = Vec::new();
     for w in 0..params.workers {
-        let tid = ThreadId(w as u8 + 2);
+        let tid = ThreadId(w as u32 + 2);
         sink.record(CheckEvent::Fork {
             parent: 1,
-            child: tid.0 as u32,
+            child: tid.0,
         });
         let arena = Arc::clone(&arena);
         let sink = Arc::clone(&sink);

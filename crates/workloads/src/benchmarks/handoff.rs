@@ -19,6 +19,7 @@
 
 use crate::table::NativeRun;
 use sharc_checker::CheckEvent;
+use sharc_runtime::arena::granule_span;
 use sharc_runtime::{
     AccessPolicy, Arena, Checked, EventLog, EventSink, ThreadCtx, ThreadId, GRANULE_WORDS,
 };
@@ -84,7 +85,10 @@ pub fn run_with_events(params: &Params, sink: Arc<dyn EventSink>) -> NativeRun {
 
 fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSink>>) -> NativeRun {
     let words = params.aligned_words();
-    let arena: Arc<Arena> = Arc::new(Arena::new(params.blocks * words));
+    let arena: Arc<Arena> = Arc::new(Arena::for_threads(
+        params.blocks * words,
+        params.consumers + 1,
+    ));
     let queue: Arc<Mutex<VecDeque<usize>>> = Arc::new(Mutex::new(VecDeque::new()));
 
     // --- Consumers (tids 2..) start first and run *concurrently*
@@ -93,11 +97,11 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
     // lock held over the payload. An empty pop yields and retries.
     let mut handles = Vec::new();
     for c in 0..params.consumers {
-        let tid = ThreadId(c as u8 + 2);
+        let tid = ThreadId(c as u32 + 2);
         if let Some(s) = &sink {
             s.record(CheckEvent::Fork {
                 parent: 1,
-                child: tid.0 as u32,
+                child: tid.0,
             });
         }
         let arena = Arc::clone(&arena);
@@ -115,14 +119,14 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
                     let mut q = queue.lock();
                     if let Some(s) = &ctx.sink {
                         s.record(CheckEvent::Acquire {
-                            tid: tid.0 as u32,
+                            tid: tid.0,
                             lock: QUEUE_LOCK,
                         });
                     }
                     let job = q.pop_front();
                     if let Some(s) = &ctx.sink {
                         s.record(CheckEvent::Release {
-                            tid: tid.0 as u32,
+                            tid: tid.0,
                             lock: QUEUE_LOCK,
                         });
                     }
@@ -174,13 +178,12 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
         // block hands off as ONE ranged event — clearing the shadow
         // range is the runtime effect; the event records it for
         // replay.
-        let g0 = start / GRANULE_WORDS;
-        let g1 = (start + words - 1) / GRANULE_WORDS;
         if let Some(s) = &sink {
+            let (granule, len) = granule_span(start, words);
             s.record(CheckEvent::RangeCast {
                 tid: 1,
-                granule: g0,
-                len: g1 - g0 + 1,
+                granule,
+                len,
                 refs: 1,
             });
         }

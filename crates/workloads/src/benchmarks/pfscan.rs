@@ -92,7 +92,10 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
     // The "path producer" loads every file into the shared arena,
     // bytes packed 8 per word as in C memory (so each 16-byte shadow
     // granule covers 16 characters, exactly the paper's layout).
-    let arena: Arc<Arena> = Arc::new(Arena::new(total_bytes.div_ceil(8) + 1));
+    let arena: Arc<Arena> = Arc::new(Arena::for_threads(
+        total_bytes.div_ceil(8) + 1,
+        params.workers + 1,
+    ));
     let queue: Arc<Mutex<VecDeque<Job>>> = Arc::new(Mutex::new(VecDeque::new()));
     let mut producer_ctx = ThreadCtx::new(ThreadId(1));
     {
@@ -135,7 +138,7 @@ fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSin
             });
         }
         handles.push(std::thread::spawn(move || {
-            let tid = ThreadId(w as u8 + 2);
+            let tid = ThreadId(w as u32 + 2);
             let mut ctx = match sink {
                 Some(sink) => ThreadCtx::with_sink(tid, sink),
                 None => ThreadCtx::new(tid),

@@ -37,9 +37,10 @@
 use crate::substrates::cipher::{decrypt, encrypt};
 use crate::table::{run_benchmark, BenchResult, NativeRun, Scale};
 use sharc_checker::CheckEvent;
+use sharc_runtime::arena::granule_span;
 use sharc_runtime::{
-    EventLog, EventSink, LockId, WideArena, WideChecked, WideLockRegistry, WidePolicy,
-    WideThreadCtx, WideThreadId, WideUnchecked, GRANULE_WORDS,
+    AccessPolicy, Arena, CachedChecked, EventLog, EventSink, LockId, LockRegistry, ThreadCtx,
+    ThreadId, Unchecked, GRANULE_WORDS,
 };
 use std::sync::Arc;
 
@@ -133,7 +134,7 @@ fn pack_word(bytes: &[u8], i: usize) -> u64 {
 }
 
 /// Runs the tunnel fleet with access policy `P` (no trace).
-pub fn run_native<P: WidePolicy>(params: &Params) -> NativeRun {
+pub fn run_native<P: AccessPolicy>(params: &Params) -> NativeRun {
     run_with_sink::<P>(params, None)
 }
 
@@ -148,26 +149,23 @@ pub fn run_traced(params: &Params) -> (NativeRun, Vec<CheckEvent>) {
 /// Runs the fleet checked, recording into any [`EventSink`] — the
 /// entry the online (`StreamingSink`) detector path uses.
 pub fn run_with_events(params: &Params, sink: Arc<dyn EventSink>) -> NativeRun {
-    run_with_sink::<WideChecked>(params, Some(sink))
+    run_with_sink::<CachedChecked>(params, Some(sink))
 }
 
-fn run_with_sink<P: WidePolicy>(params: &Params, sink: Option<Arc<dyn EventSink>>) -> NativeRun {
-    let is_checked = P::NAME == "sharc";
+fn run_with_sink<P: AccessPolicy>(params: &Params, sink: Option<Arc<dyn EventSink>>) -> NativeRun {
+    let is_checked = P::CHECKED;
     // Exact identities for the acceptor plus every worker tid.
-    let arena = Arc::new(WideArena::for_threads(
-        params.arena_words(),
-        params.workers + 2,
-    ));
-    let locks = Arc::new(WideLockRegistry::new(2));
+    let arena = Arc::new(Arena::for_threads(params.arena_words(), params.workers + 2));
+    let locks = Arc::new(LockRegistry::new(2));
 
     let mut acceptor = match &sink {
-        Some(s) => WideThreadCtx::with_sink(WideThreadId(1), Arc::clone(s)),
-        None => WideThreadCtx::new(WideThreadId(1)),
+        Some(s) => ThreadCtx::with_sink(ThreadId(1), Arc::clone(s)),
+        None => ThreadCtx::new(ThreadId(1)),
     };
 
     let mut handles = Vec::new();
     for w in 0..params.workers {
-        let tid = WideThreadId(w as u32 + 2);
+        let tid = ThreadId(w as u32 + 2);
         if let Some(s) = &acceptor.sink {
             s.record(CheckEvent::Fork {
                 parent: 1,
@@ -195,13 +193,12 @@ fn run_with_sink<P: WidePolicy>(params: &Params, sink: Option<Arc<dyn EventSink>
             // The dynamic hand-off: ONE ranged `oneref` cast for the
             // whole handshake buffer, then the shadow forgets the
             // acceptor ever owned it.
-            let g0 = params.hs(c) / GRANULE_WORDS;
-            let g1 = (params.hs(c) + HS_WORDS - 1) / GRANULE_WORDS;
             if let Some(s) = &acceptor.sink {
+                let (granule, len) = granule_span(params.hs(c), HS_WORDS);
                 s.record(CheckEvent::RangeCast {
                     tid: 1,
-                    granule: g0,
-                    len: g1 - g0 + 1,
+                    granule,
+                    len,
                     refs: 1,
                 });
             }
@@ -275,18 +272,18 @@ fn run_with_sink<P: WidePolicy>(params: &Params, sink: Option<Arc<dyn EventSink>
 
 /// One worker thread: serves every client `c` with `c % workers ==
 /// w`, in ascending order. Returns `(ok, checked, total, conflicts)`.
-fn worker_thread<P: WidePolicy>(
+fn worker_thread<P: AccessPolicy>(
     params: &Params,
-    arena: &WideArena,
-    locks: &WideLockRegistry,
-    tid: WideThreadId,
+    arena: &Arena,
+    locks: &LockRegistry,
+    tid: ThreadId,
     sink: Option<Arc<dyn EventSink>>,
     w: usize,
 ) -> (u64, u64, u64, usize) {
-    let is_checked = P::NAME == "sharc";
+    let is_checked = P::CHECKED;
     let mut ctx = match sink {
-        Some(s) => WideThreadCtx::with_sink(tid, s),
-        None => WideThreadCtx::new(tid),
+        Some(s) => ThreadCtx::with_sink(tid, s),
+        None => ThreadCtx::new(tid),
     };
     let mut ok = 0u64;
     let mut lock_checks = 0u64;
@@ -468,9 +465,9 @@ pub fn bench(scale: Scale) -> BenchResult {
     let params = Params::scaled(scale);
     run_benchmark("stunnel", minic_source(), scale.reps, |checked| {
         if checked {
-            run_native::<WideChecked>(&params)
+            run_native::<CachedChecked>(&params)
         } else {
-            run_native::<WideUnchecked>(&params)
+            run_native::<Unchecked>(&params)
         }
     })
 }
@@ -504,32 +501,13 @@ mod tests {
             messages: 3,
             msg_len: 64,
         };
-        let a = run_native::<WideUnchecked>(&params);
-        let b = run_native::<WideChecked>(&params);
+        let a = run_native::<Unchecked>(&params);
+        let b = run_native::<CachedChecked>(&params);
         assert_eq!(a.checksum, b.checksum);
         // checksum encodes ok-count * 1000 + message counter.
         let expect = (params.clients * params.messages) as u64;
         assert_eq!(a.checksum, expect * 1000 + expect);
         assert_eq!(b.conflicts, 0, "casts + locks make the fleet clean");
-    }
-
-    #[test]
-    fn overhead_is_small() {
-        // Paper: 2% — encryption and thread management dominate; the
-        // checks ride on ranged sweeps and the owned-run cache.
-        let params = Params {
-            clients: 64,
-            workers: 64,
-            messages: 8,
-            msg_len: 256,
-        };
-        let (t_orig, _) = crate::table::time_mean(2, || run_native::<WideUnchecked>(&params));
-        let (t_sharc, _) = crate::table::time_mean(2, || run_native::<WideChecked>(&params));
-        let ratio = t_sharc.as_secs_f64() / t_orig.as_secs_f64();
-        assert!(
-            ratio < 1.5,
-            "ranged cached checks are cheap (ratio {ratio:.2})"
-        );
     }
 
     #[test]

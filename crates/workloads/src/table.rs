@@ -60,22 +60,6 @@ impl BenchResult {
 #[derive(Debug, Clone)]
 pub struct TableRow(pub String);
 
-/// Times `f` over `reps` runs, returning the mean.
-pub fn time_mean<R>(reps: usize, mut f: impl FnMut() -> R) -> (Duration, R) {
-    let mut total = Duration::ZERO;
-    let mut last = None;
-    for _ in 0..reps {
-        let t = Instant::now();
-        let r = f();
-        total += t.elapsed();
-        last = Some(r);
-    }
-    (
-        total / reps as u32,
-        last.expect("reps must be at least one"),
-    )
-}
-
 /// Times the orig/sharc pair *interleaved* (o,s,o,s,...) and takes
 /// medians, which resists the scheduling drift that plagues
 /// multithreaded wall-clock measurement on small hosts.

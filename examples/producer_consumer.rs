@@ -19,7 +19,7 @@ const BUFFER_WORDS: usize = 32;
 
 fn main() {
     // Payload arena: item buffers, 16-byte-granule shadow memory.
-    let arena: Arc<Arena> = Arc::new(Arena::new(ITEMS.min(64) * BUFFER_WORDS));
+    let arena: Arc<Arena> = Arc::new(Arena::for_threads(ITEMS.min(64) * BUFFER_WORDS, 2));
     // One reference-counted pointer slot: the hand-off cell.
     let rc = Arc::new(LpRc::new(1, 64, 2));
     let locks = Arc::new(LockRegistry::new(1));

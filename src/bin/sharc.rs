@@ -26,7 +26,7 @@
 //! interface — `sharc native handoff --detector eraser` shows the
 //! lockset false positive on an ownership transfer that
 //! `--detector sharc` accepts. `--trace-out` saves the recorded
-//! trace as line-oriented text — or as the binary v4 `.sbt` format
+//! trace as line-oriented text — or as the binary v5 `.sbt` format
 //! when the path ends in `.sbt` — and `replay` re-judges a saved
 //! trace offline (sniffing text vs binary by magic) — the verdict is
 //! a function of the file alone, so the same execution can be

@@ -470,7 +470,7 @@ pub fn judge_trace_jobs(
     (name, dedup_conflicts(raw))
 }
 
-/// Writes a trace file: the binary v4 format of [`checker::btrace`]
+/// Writes a trace file: the binary v5 format of [`checker::btrace`]
 /// when the path ends in `.sbt`, the offline text format of
 /// [`checker::trace`] otherwise.
 pub fn write_trace_file(
@@ -486,7 +486,7 @@ pub fn write_trace_file(
 
 /// Reads a trace written by [`write_trace_file`] (or by hand — the
 /// text format is line-oriented). The format is sniffed from the
-/// file's first bytes, not its name: the binary v4 magic decodes
+/// file's first bytes, not its name: the binary magic decodes
 /// through [`checker::BinaryTraceReader`], anything else parses as
 /// v1–v3 text.
 pub fn read_trace_file(path: &std::path::Path) -> Result<Vec<checker::CheckEvent>, String> {

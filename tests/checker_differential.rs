@@ -32,7 +32,7 @@ use sharc_checker::{
     EventSink, OwnedCache, ShadowGeometry, StreamingSink,
 };
 use sharc_detectors::{BaselineBackend, Eraser, VcDetector};
-use sharc_runtime::{Shadow, ShardedShadow, ThreadId, WideThreadId};
+use sharc_runtime::{Shadow, ShardedShadow, ThreadId};
 use sharc_testkit::gen::{self, Gen};
 use sharc_testkit::prop::Config;
 use sharc_testkit::{forall, prop_assert};
@@ -105,24 +105,24 @@ fn all_engines_agree_on_every_verdict() {
                 match op {
                     Op::Read { tid, granule } => {
                         let a = vm.chkread(tid, granule).is_conflict();
-                        let b = shadow.check_read(granule, ThreadId(tid as u8)).is_err();
+                        let b = shadow.check_read(granule, ThreadId(tid)).is_err();
                         let cache = caches.entry(tid).or_default();
                         let c = cached
-                            .check_read_cached(granule, ThreadId(tid as u8), cache)
+                            .check_read_cached(granule, ThreadId(tid), cache)
                             .is_err();
-                        let d = scalable.check_read(granule, WideThreadId(tid)).is_err();
+                        let d = scalable.check_read(granule, ThreadId(tid)).is_err();
                         prop_assert!(a == b, "op {}: vm vs shadow (read)", i);
                         prop_assert!(b == c, "op {}: shadow vs cached (read)", i);
                         prop_assert!(b == d, "op {}: shadow vs scalable (read)", i);
                     }
                     Op::Write { tid, granule } => {
                         let a = vm.chkwrite(tid, granule).is_conflict();
-                        let b = shadow.check_write(granule, ThreadId(tid as u8)).is_err();
+                        let b = shadow.check_write(granule, ThreadId(tid)).is_err();
                         let cache = caches.entry(tid).or_default();
                         let c = cached
-                            .check_write_cached(granule, ThreadId(tid as u8), cache)
+                            .check_write_cached(granule, ThreadId(tid), cache)
                             .is_err();
-                        let d = scalable.check_write(granule, WideThreadId(tid)).is_err();
+                        let d = scalable.check_write(granule, ThreadId(tid)).is_err();
                         prop_assert!(a == b, "op {}: vm vs shadow (write)", i);
                         prop_assert!(b == c, "op {}: shadow vs cached (write)", i);
                         prop_assert!(b == d, "op {}: shadow vs scalable (write)", i);
@@ -195,8 +195,7 @@ fn region_epoch_engines_agree_with_global_epoch() {
                         continue;
                     }
                 };
-                let t8 = ThreadId(tid as u8);
-                let tw = WideThreadId(tid);
+                let t = ThreadId(tid);
                 let rc = region_caches.entry(tid).or_default();
                 let gc = global_caches.entry(tid).or_default();
                 let arc = ad_region_caches.entry(tid).or_default();
@@ -204,22 +203,20 @@ fn region_epoch_engines_agree_with_global_epoch() {
                 let verdicts = if is_write {
                     [
                         oracle.chkwrite(tid, granule).is_conflict(),
-                        uncached.check_write(granule, t8).is_err(),
-                        region.check_write_cached(granule, t8, rc).is_err(),
-                        global.check_write_cached(granule, t8, gc).is_err(),
-                        adaptive.check_write_cached(granule, tw, arc).is_err(),
-                        adaptive_global
-                            .check_write_cached(granule, tw, agc)
-                            .is_err(),
+                        uncached.check_write(granule, t).is_err(),
+                        region.check_write_cached(granule, t, rc).is_err(),
+                        global.check_write_cached(granule, t, gc).is_err(),
+                        adaptive.check_write_cached(granule, t, arc).is_err(),
+                        adaptive_global.check_write_cached(granule, t, agc).is_err(),
                     ]
                 } else {
                     [
                         oracle.chkread(tid, granule).is_conflict(),
-                        uncached.check_read(granule, t8).is_err(),
-                        region.check_read_cached(granule, t8, rc).is_err(),
-                        global.check_read_cached(granule, t8, gc).is_err(),
-                        adaptive.check_read_cached(granule, tw, arc).is_err(),
-                        adaptive_global.check_read_cached(granule, tw, agc).is_err(),
+                        uncached.check_read(granule, t).is_err(),
+                        region.check_read_cached(granule, t, rc).is_err(),
+                        global.check_read_cached(granule, t, gc).is_err(),
+                        adaptive.check_read_cached(granule, t, arc).is_err(),
+                        adaptive_global.check_read_cached(granule, t, agc).is_err(),
                     ]
                 };
                 prop_assert!(
@@ -371,16 +368,16 @@ fn sharded_engines_agree_up_to_256_threads() {
                 match op {
                     WideOp::Read { tid, granule } => {
                         let a = oracle.chkread(tid, granule).is_conflict();
-                        let b = sharded.check_read(granule, WideThreadId(tid)).is_err();
+                        let b = sharded.check_read(granule, ThreadId(tid)).is_err();
                         let cache = caches.entry(tid).or_default();
                         let c = cached
-                            .check_read_cached(granule, WideThreadId(tid), cache)
+                            .check_read_cached(granule, ThreadId(tid), cache)
                             .is_err();
                         let gcache = global_caches.entry(tid).or_default();
                         let cg = cached_global
-                            .check_read_cached(granule, WideThreadId(tid), gcache)
+                            .check_read_cached(granule, ThreadId(tid), gcache)
                             .is_err();
-                        let d = adaptive.check_read(granule, WideThreadId(tid)).is_err();
+                        let d = adaptive.check_read(granule, ThreadId(tid)).is_err();
                         prop_assert!(a == b, "op {}: oracle vs sharded (read)", i);
                         prop_assert!(b == c, "op {}: sharded vs cached (read)", i);
                         prop_assert!(c == cg, "op {}: region vs global epoch (read)", i);
@@ -394,16 +391,16 @@ fn sharded_engines_agree_up_to_256_threads() {
                     }
                     WideOp::Write { tid, granule } => {
                         let a = oracle.chkwrite(tid, granule).is_conflict();
-                        let b = sharded.check_write(granule, WideThreadId(tid)).is_err();
+                        let b = sharded.check_write(granule, ThreadId(tid)).is_err();
                         let cache = caches.entry(tid).or_default();
                         let c = cached
-                            .check_write_cached(granule, WideThreadId(tid), cache)
+                            .check_write_cached(granule, ThreadId(tid), cache)
                             .is_err();
                         let gcache = global_caches.entry(tid).or_default();
                         let cg = cached_global
-                            .check_write_cached(granule, WideThreadId(tid), gcache)
+                            .check_write_cached(granule, ThreadId(tid), gcache)
                             .is_err();
-                        let d = adaptive.check_write(granule, WideThreadId(tid)).is_err();
+                        let d = adaptive.check_write(granule, ThreadId(tid)).is_err();
                         prop_assert!(a == b, "op {}: oracle vs sharded (write)", i);
                         prop_assert!(b == c, "op {}: sharded vs cached (write)", i);
                         prop_assert!(c == cg, "op {}: region vs global epoch (write)", i);
@@ -429,10 +426,10 @@ fn sharded_engines_agree_up_to_256_threads() {
                             // touched is a no-op in every engine, so
                             // sweeping all of them mirrors the
                             // oracle's access-log walk.
-                            sharded.clear_thread(g, WideThreadId(tid));
-                            cached.clear_thread(g, WideThreadId(tid));
-                            cached_global.clear_thread(g, WideThreadId(tid));
-                            adaptive.clear_thread(g, WideThreadId(tid));
+                            sharded.clear_thread(g, ThreadId(tid));
+                            cached.clear_thread(g, ThreadId(tid));
+                            cached_global.clear_thread(g, ThreadId(tid));
+                            adaptive.clear_thread(g, ThreadId(tid));
                         }
                         exits_seen = true;
                     }
@@ -525,10 +522,10 @@ fn cross_shard_ownership_transfer_is_exact() {
 
     // Native level: the lock-free ShardedShadow agrees.
     let s = ShardedShadow::with_geometry(4, geom);
-    s.check_write(g, WideThreadId(producer)).unwrap();
+    s.check_write(g, ThreadId(producer)).unwrap();
     s.clear(g); // the successful sharing cast
-    s.check_read(g, WideThreadId(consumer)).unwrap();
-    s.check_write(g, WideThreadId(consumer)).unwrap();
+    s.check_read(g, ThreadId(consumer)).unwrap();
+    s.check_write(g, ThreadId(consumer)).unwrap();
 
     // And without the cast both levels report the cross-shard race.
     let no_cast: Vec<CheckEvent> = trace
@@ -542,9 +539,9 @@ fn cross_shard_ownership_transfer_is_exact() {
         "without the cast the consumer's access races"
     );
     let s2 = ShardedShadow::with_geometry(4, geom);
-    s2.check_write(g, WideThreadId(producer)).unwrap();
+    s2.check_write(g, ThreadId(producer)).unwrap();
     assert!(
-        s2.check_read(g, WideThreadId(consumer)).is_err(),
+        s2.check_read(g, ThreadId(consumer)).is_err(),
         "sharded engine sees the same cross-shard race"
     );
 }
@@ -653,17 +650,16 @@ fn range_checks_equal_per_granule_fold() {
                         is_write,
                     } => {
                         let want = oracle_fold(&mut oracle, tid, start, len, is_write);
-                        let t8 = ThreadId(tid as u8);
-                        let tw = WideThreadId(tid);
+                        let t = ThreadId(tid);
                         let cache = caches.entry(tid).or_default();
                         let ad_cache = ad_caches.entry(tid).or_default();
                         let got = if is_write {
                             [
-                                ranged.check_range_write(start, len, t8, |_| {}, |_| {}),
+                                ranged.check_range_write(start, len, t, |_| {}, |_| {}),
                                 cached.check_range_write_cached(
                                     start,
                                     len,
-                                    t8,
+                                    t,
                                     cache,
                                     |_| {},
                                     |_| {},
@@ -671,7 +667,7 @@ fn range_checks_equal_per_granule_fold() {
                                 adaptive.check_range_write_cached(
                                     start,
                                     len,
-                                    tw,
+                                    t,
                                     ad_cache,
                                     |_| {},
                                     |_| {},
@@ -679,11 +675,11 @@ fn range_checks_equal_per_granule_fold() {
                             ]
                         } else {
                             [
-                                ranged.check_range_read(start, len, t8, |_| {}, |_| {}),
+                                ranged.check_range_read(start, len, t, |_| {}, |_| {}),
                                 cached.check_range_read_cached(
                                     start,
                                     len,
-                                    t8,
+                                    t,
                                     cache,
                                     |_| {},
                                     |_| {},
@@ -691,7 +687,7 @@ fn range_checks_equal_per_granule_fold() {
                                 adaptive.check_range_read_cached(
                                     start,
                                     len,
-                                    tw,
+                                    t,
                                     ad_cache,
                                     |_| {},
                                     |_| {},
@@ -715,23 +711,22 @@ fn range_checks_equal_per_granule_fold() {
                         granule,
                         is_write,
                     } => {
-                        let t8 = ThreadId(tid as u8);
-                        let tw = WideThreadId(tid);
+                        let t = ThreadId(tid);
                         let cache = caches.entry(tid).or_default();
                         let ad_cache = ad_caches.entry(tid).or_default();
                         let verdicts = if is_write {
                             [
                                 oracle.chkwrite(tid, granule).is_conflict(),
-                                ranged.check_write(granule, t8).is_err(),
-                                cached.check_write_cached(granule, t8, cache).is_err(),
-                                adaptive.check_write_cached(granule, tw, ad_cache).is_err(),
+                                ranged.check_write(granule, t).is_err(),
+                                cached.check_write_cached(granule, t, cache).is_err(),
+                                adaptive.check_write_cached(granule, t, ad_cache).is_err(),
                             ]
                         } else {
                             [
                                 oracle.chkread(tid, granule).is_conflict(),
-                                ranged.check_read(granule, t8).is_err(),
-                                cached.check_read_cached(granule, t8, cache).is_err(),
-                                adaptive.check_read_cached(granule, tw, ad_cache).is_err(),
+                                ranged.check_read(granule, t).is_err(),
+                                cached.check_read_cached(granule, t, cache).is_err(),
+                                adaptive.check_read_cached(granule, t, ad_cache).is_err(),
                             ]
                         };
                         prop_assert!(
@@ -787,15 +782,15 @@ fn ranged_sharded_checks_agree_up_to_256_threads() {
                         is_write,
                     } => {
                         let want = oracle_fold(&mut oracle, tid, start, len, is_write);
-                        let tw = WideThreadId(tid);
+                        let t = ThreadId(tid);
                         let cache = caches.entry(tid).or_default();
                         let got = if is_write {
                             [
-                                ranged.check_range_write(start, len, tw, |_| {}, |_| {}),
+                                ranged.check_range_write(start, len, t, |_| {}, |_| {}),
                                 cached.check_range_write_cached(
                                     start,
                                     len,
-                                    tw,
+                                    t,
                                     cache,
                                     |_| {},
                                     |_| {},
@@ -803,11 +798,11 @@ fn ranged_sharded_checks_agree_up_to_256_threads() {
                             ]
                         } else {
                             [
-                                ranged.check_range_read(start, len, tw, |_| {}, |_| {}),
+                                ranged.check_range_read(start, len, t, |_| {}, |_| {}),
                                 cached.check_range_read_cached(
                                     start,
                                     len,
-                                    tw,
+                                    t,
                                     cache,
                                     |_| {},
                                     |_| {},
@@ -827,19 +822,19 @@ fn ranged_sharded_checks_agree_up_to_256_threads() {
                         granule,
                         is_write,
                     } => {
-                        let tw = WideThreadId(tid);
+                        let t = ThreadId(tid);
                         let cache = caches.entry(tid).or_default();
                         let verdicts = if is_write {
                             [
                                 oracle.chkwrite(tid, granule).is_conflict(),
-                                ranged.check_write(granule, tw).is_err(),
-                                cached.check_write_cached(granule, tw, cache).is_err(),
+                                ranged.check_write(granule, t).is_err(),
+                                cached.check_write_cached(granule, t, cache).is_err(),
                             ]
                         } else {
                             [
                                 oracle.chkread(tid, granule).is_conflict(),
-                                ranged.check_read(granule, tw).is_err(),
-                                cached.check_read_cached(granule, tw, cache).is_err(),
+                                ranged.check_read(granule, t).is_err(),
+                                cached.check_read_cached(granule, t, cache).is_err(),
                             ]
                         };
                         prop_assert!(
@@ -961,8 +956,7 @@ fn ranged_clears_equal_per_granule_clear_fold() {
                         len,
                         is_write,
                     } => {
-                        let t8 = ThreadId(tid as u8);
-                        let tw = WideThreadId(tid);
+                        let t = ThreadId(tid);
                         let cache = caches.entry(tid).or_default();
                         let ad_cache = ad_caches.entry(tid).or_default();
                         let got = if is_write {
@@ -970,42 +964,42 @@ fn ranged_clears_equal_per_granule_clear_fold() {
                                 ranged.check_range_write_cached(
                                     start,
                                     len,
-                                    t8,
+                                    t,
                                     cache,
                                     |_| {},
                                     |_| {},
                                 ),
-                                folded.check_range_write(start, len, t8, |_| {}, |_| {}),
+                                folded.check_range_write(start, len, t, |_| {}, |_| {}),
                                 ad_ranged.check_range_write_cached(
                                     start,
                                     len,
-                                    tw,
+                                    t,
                                     ad_cache,
                                     |_| {},
                                     |_| {},
                                 ),
-                                ad_folded.check_range_write(start, len, tw, |_| {}, |_| {}),
+                                ad_folded.check_range_write(start, len, t, |_| {}, |_| {}),
                             ]
                         } else {
                             [
                                 ranged.check_range_read_cached(
                                     start,
                                     len,
-                                    t8,
+                                    t,
                                     cache,
                                     |_| {},
                                     |_| {},
                                 ),
-                                folded.check_range_read(start, len, t8, |_| {}, |_| {}),
+                                folded.check_range_read(start, len, t, |_| {}, |_| {}),
                                 ad_ranged.check_range_read_cached(
                                     start,
                                     len,
-                                    tw,
+                                    t,
                                     ad_cache,
                                     |_| {},
                                     |_| {},
                                 ),
-                                ad_folded.check_range_read(start, len, tw, |_| {}, |_| {}),
+                                ad_folded.check_range_read(start, len, t, |_| {}, |_| {}),
                             ]
                         };
                         prop_assert!(
@@ -1026,11 +1020,11 @@ fn ranged_clears_equal_per_granule_clear_fold() {
                         }
                     }
                     HandoffOp::ExitRange { tid, start, len } => {
-                        ranged.clear_thread_range(start, len, ThreadId(tid as u8));
-                        ad_ranged.clear_thread_range(start, len, WideThreadId(tid));
+                        ranged.clear_thread_range(start, len, ThreadId(tid));
+                        ad_ranged.clear_thread_range(start, len, ThreadId(tid));
                         for g in start..start + len {
-                            folded.clear_thread(g, ThreadId(tid as u8));
-                            ad_folded.clear_thread(g, WideThreadId(tid));
+                            folded.clear_thread(g, ThreadId(tid));
+                            ad_folded.clear_thread(g, ThreadId(tid));
                         }
                     }
                 }
@@ -1076,31 +1070,31 @@ fn wide_ranged_clears_equal_per_granule_clear_fold() {
                         len,
                         is_write,
                     } => {
-                        let tw = WideThreadId(tid);
+                        let t = ThreadId(tid);
                         let cache = caches.entry(tid).or_default();
                         let got = if is_write {
                             [
                                 ranged.check_range_write_cached(
                                     start,
                                     len,
-                                    tw,
+                                    t,
                                     cache,
                                     |_| {},
                                     |_| {},
                                 ),
-                                folded.check_range_write(start, len, tw, |_| {}, |_| {}),
+                                folded.check_range_write(start, len, t, |_| {}, |_| {}),
                             ]
                         } else {
                             [
                                 ranged.check_range_read_cached(
                                     start,
                                     len,
-                                    tw,
+                                    t,
                                     cache,
                                     |_| {},
                                     |_| {},
                                 ),
-                                folded.check_range_read(start, len, tw, |_| {}, |_| {}),
+                                folded.check_range_read(start, len, t, |_| {}, |_| {}),
                             ]
                         };
                         prop_assert!(
@@ -1119,9 +1113,9 @@ fn wide_ranged_clears_equal_per_granule_clear_fold() {
                         }
                     }
                     HandoffOp::ExitRange { tid, start, len } => {
-                        ranged.clear_thread_range(start, len, WideThreadId(tid));
+                        ranged.clear_thread_range(start, len, ThreadId(tid));
                         for g in start..start + len {
-                            folded.clear_thread(g, WideThreadId(tid));
+                            folded.clear_thread(g, ThreadId(tid));
                         }
                     }
                 }

@@ -234,7 +234,7 @@ fn vm_and_native_runtime_agree_on_granularity() {
     // Both implementations treat 16 bytes as one granule: adjacent
     // word-sized fields false-share.
     use sharc_runtime::{Arena, ThreadCtx, ThreadId};
-    let arena: Arena = Arena::new(2);
+    let arena: Arena = Arena::for_threads(2, 2);
     let mut c1 = ThreadCtx::new(ThreadId(1));
     let mut c2 = ThreadCtx::new(ThreadId(2));
     arena.write_checked(&mut c1, 0, 1);

@@ -1,5 +1,5 @@
 //! Cross-version trace parity: one recorded execution, archived as
-//! v3 text and v4 binary, re-judged by every detector — identical
+//! v3 text and v5 binary, re-judged by every detector — identical
 //! conflict sets and exit-code verdicts regardless of the container
 //! format, sequentially or region-sharded over worker threads. Also
 //! promotes the old CI awk v3→v2 lowering hack into a Rust test on
@@ -12,7 +12,7 @@ fn tmp(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name)
 }
 
-/// One stunnel fleet run, emitted as v3 text and v4 binary; both
+/// One stunnel fleet run, emitted as v3 text and v5 binary; both
 /// files decode to the recorded events exactly, all three detectors
 /// reach the same conflicts through either container (and through
 /// parallel replay), the exit-code split is the documented one
@@ -48,7 +48,7 @@ fn stunnel_text_and_binary_archives_replay_identically() {
     let ti = trace_file_info(&text_path).expect("text info");
     let bi = trace_file_info(&bin_path).expect("binary info");
     assert_eq!((ti.format, ti.version), ("text", 3));
-    assert_eq!((bi.format, bi.version), ("binary", 4));
+    assert_eq!((bi.format, bi.version), ("binary", 5));
     assert_eq!(ti.events, trace.len());
     assert_eq!(bi.events, trace.len());
     assert_eq!(ti.counts, bi.counts);
